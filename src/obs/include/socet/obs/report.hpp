@@ -7,6 +7,7 @@
 // and documented in docs/OBSERVABILITY.md.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -18,12 +19,17 @@ namespace socet::obs {
 std::string json_escape(std::string_view text);
 /// Shortest round-trip-safe rendering of a double ("12", "12.5", "0.001").
 std::string json_number(double value);
+/// Integer nanoseconds as fixed-point microseconds with exactly three
+/// decimals ("10500000.123", "-0.250").  Exact at any magnitude, so a
+/// span ten seconds into a run keeps its nanoseconds; trace `ts`/`dur`
+/// and the run report's `*_us` values all render through it.
+std::string json_us(std::int64_t ns);
 
 /// The whole report:
 ///   {"schema": "socet-report-v1", "command": ...,
 ///    "metrics": {"counters": ..., "gauges": ..., "histograms": ...},
 ///    "spans": {<name>: {count, total_us, mean_us, min_us, max_us}},
-///    "stages": {<prefix>: {spans, total_us}},
+///    "stages": {<prefix>: {spans, total_us}},   (analyze::aggregate)
 ///    "resources": {"run": ..., "stages": ...}}   (obs/resource.hpp)
 /// Stage = everything before the first '/' of a span name.
 std::string run_report_json(const std::string& command);

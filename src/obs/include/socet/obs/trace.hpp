@@ -1,27 +1,38 @@
-// Scoped wall-time spans with Chrome trace-event export.
+// Scoped wall-time spans, recorded as id-linked SpanRecords.
 //
 //   void plan(...) {
 //     SOCET_SPAN("soc/plan_chip_test");
 //     ...
 //   }
 //
-// A Span is an RAII guard: when tracing is enabled it records one
-// (name, thread, start, end) event into a per-thread buffer on
-// destruction; when disabled its constructor is a single relaxed atomic
-// load.  Buffers register themselves with a global sink on first use
-// and hand their events back when the thread exits, so worker-pool
-// threads that die before export still appear in the trace — each
-// thread gets its own lane (`tid`) in chrome://tracing / Perfetto.
+// A Span is an RAII guard.  While recording (global tracing on, or a
+// SpanCapture live on this thread) it mints a span id, takes the id of
+// the innermost span still open on its thread as parent, and on
+// destruction stores one closed SpanRecord.  There is one span
+// representation: the same records feed the local Chrome export
+// (`chrome_trace_json`), the run report, the daemon's per-request
+// capture, and the offline analyzer (traceanalyze.hpp).
 //
-// Export (`chrome_trace_json`) must only run when no instrumented
-// thread is concurrently recording — in practice: after worker pools
-// have joined, which is how the CLI uses it.
+// Disabled cost: the constructor reads the relaxed global trace switch
+// and this thread's capture pointer (a direct thread-local load, no
+// call), then makes the one out-of-line `journal_enabled()` call that
+// maintains the journal's crash-dump span stack; the destructor tests
+// two members.  No id is minted and the clock is not read.
+//
+// Buffers register themselves with a global sink on first use and hand
+// their records back when the thread exits, so worker-pool threads
+// that die before export still appear in the trace — each thread gets
+// its own lane (`tid`) in chrome://tracing / Perfetto.  Export
+// (`recorded_spans`, `chrome_trace_json`) must only run when no
+// instrumented thread is concurrently recording — in practice: after
+// worker pools have joined, which is how the CLI uses it.
 //
 // Span names are `<stage>/<what>` string literals; the leading stage
 // segment is what the run report aggregates by (see report.hpp and
 // docs/OBSERVABILITY.md).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -31,28 +42,28 @@
 
 namespace socet::obs {
 
+class SpanCapture;
+
+namespace detail {
+extern std::atomic<bool> g_trace_enabled;
+/// The capture adopted by this thread, if any (see SpanCapture).
+extern constinit thread_local SpanCapture* g_capture;
+}  // namespace detail
+
 /// Global tracing switch (independent of the metrics switch).
-bool trace_enabled();
+inline bool trace_enabled() {
+  return detail::g_trace_enabled.load(std::memory_order_relaxed);
+}
 void set_trace_enabled(bool enabled);
 
-/// One closed span.  `name` must be a string with static storage
-/// duration (SOCET_SPAN passes literals).
-struct TraceEvent {
-  const char* name = nullptr;
-  std::uint32_t tid = 0;
-  std::uint64_t start_ns = 0;
-  std::uint64_t end_ns = 0;
-};
-
-/// One closed span with an identity: part of a distributed trace.
-/// Unlike TraceEvent these are self-contained (owned name, explicit
-/// parent link) so they can cross the process boundary (tracemerge.hpp
-/// serializes them for the serve `spans` verb).
+/// One closed span.  Self-contained (owned name, explicit parent link)
+/// so it can also cross the process boundary (tracemerge.hpp serializes
+/// it for the serve `spans` verb).
 struct SpanRecord {
   std::string name;
   std::uint32_t tid = 0;
   std::uint64_t id = 0;
-  std::uint64_t parent = 0;   ///< 0 = root of its capture
+  std::uint64_t parent = 0;   ///< 0 = root
   std::uint64_t start_ns = 0;
   std::uint64_t end_ns = 0;
 };
@@ -63,22 +74,16 @@ struct SpanRecord {
 std::uint64_t new_span_id();
 
 namespace detail {
-void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t end_ns);
 /// Test hook: when SOCET_TRACE_TEST_SLOW="<span-name>:<us>" is set in
 /// the environment, sleep that long on entry to the named span.  The
 /// knob exists so trace-diff tests can slow one stage deterministically
 /// (docs/OBSERVABILITY.md); parsed once, zero cost when unset.
 void maybe_test_delay(const char* name);
-bool capture_active();
-void capture_open(std::uint64_t* id, std::uint64_t* parent);
-void capture_close(const char* name, std::uint64_t id, std::uint64_t parent,
-                   std::uint64_t start_ns, std::uint64_t end_ns);
 }  // namespace detail
 
 /// Adopt a remote trace context on the *current thread*: while alive,
-/// every SOCET_SPAN this thread opens is also recorded as a SpanRecord
-/// with a fresh span id, parented under the innermost open span (or
+/// every SOCET_SPAN this thread opens is recorded into this capture,
+/// parented under the innermost span opened inside the capture (or
 /// under `remote_parent` at the top).  Independent of the global trace
 /// switch — this is how daemon workers trace one request on behalf of
 /// a client without turning whole-process tracing on.  `take()` hands
@@ -96,26 +101,17 @@ class SpanCapture {
   std::vector<SpanRecord> take();
 
  private:
+  friend class Span;
   std::uint64_t trace_id_ = 0;
-  void* state_ = nullptr;  ///< detail::CaptureState*, null if passive
+  std::uint64_t remote_parent_ = 0;
+  std::size_t base_depth_ = 0;  ///< open spans on this thread at adoption
+  std::vector<SpanRecord> records_;
 };
 
 class Span {
  public:
   explicit Span(const char* name) {
-    const bool capturing = detail::capture_active();
-    if (trace_enabled()) traced_ = true;
-    if (traced_ || capturing) {
-      name_ = name;
-      start_ns_ = now_ns();
-      // After the start stamp, so the injected latency lands inside
-      // this span's duration (that's what the diff test attributes).
-      detail::maybe_test_delay(name);
-    }
-    if (capturing) {
-      captured_ = true;
-      detail::capture_open(&capture_id_, &capture_parent_);
-    }
+    if (trace_enabled() || detail::g_capture != nullptr) open(name);
     // The journal's crash dump reports each thread's active spans, so
     // spans also maintain a journal-side stack while it is recording.
     if (journal_enabled()) {
@@ -124,42 +120,41 @@ class Span {
     }
   }
   ~Span() {
-    if (name_ != nullptr) {
-      const std::uint64_t end_ns = now_ns();
-      if (traced_) detail::record_span(name_, start_ns_, end_ns);
-      if (captured_) {
-        detail::capture_close(name_, capture_id_, capture_parent_, start_ns_,
-                              end_ns);
-      }
-    }
+    if (id_ != 0) close();
     if (journal_pushed_) detail::journal_pop_span();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
 
  private:
+  void open(const char* name);
+  void close();
+
   const char* name_ = nullptr;
+  std::uint64_t id_ = 0;  ///< nonzero while recording
+  std::uint64_t parent_ = 0;
   std::uint64_t start_ns_ = 0;
-  std::uint64_t capture_id_ = 0;
-  std::uint64_t capture_parent_ = 0;
-  bool traced_ = false;
-  bool captured_ = false;
+  bool traced_ = false;    ///< global tracing was on at open
+  bool captured_ = false;  ///< a SpanCapture was live at open
   bool journal_pushed_ = false;
 };
 
 /// Label this thread's lane in the exported trace (e.g. "worker-2").
 void name_this_thread(const std::string& name);
 
-/// Copy of every recorded event (live buffers + exited threads),
-/// sorted by start time.  See the export caveat above.
-std::vector<TraceEvent> collect_trace_events();
+/// Copy of every globally traced span (live buffers + exited threads),
+/// sorted by start time, longest first on ties.  See the export caveat
+/// above.
+std::vector<SpanRecord> recorded_spans();
 
-/// Full Chrome trace-event JSON document: matched B/E pairs per span,
-/// one `tid` lane per recording thread, thread-name metadata events,
-/// timestamps in microseconds relative to the first span.
+/// Chrome trace-event JSON document of `recorded_spans()`: one `X`
+/// slice per span with hex `args.span`/`args.parent` ids on pid 1, one
+/// `tid` lane per recording thread with thread-name metadata, and
+/// fixed-point microsecond timestamps relative to the first span
+/// (tracemerge.hpp's ChromeTraceWriter).
 std::string chrome_trace_json();
 
-/// Drop all recorded events and thread names (tests).
+/// Drop all recorded spans and thread names (tests).
 void reset_trace();
 
 }  // namespace socet::obs

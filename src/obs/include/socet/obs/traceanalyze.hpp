@@ -1,14 +1,17 @@
-// Offline trace analytics — the layer that *reads* what five PRs of
-// instrumentation write.
+// Offline trace analytics — the layer that *reads* what the
+// instrumentation writes.
 //
-// Input: any Chrome trace-event document the system emits — a local
-// `--trace` file (matched B/E pairs per tid lane, trace.cpp), a merged
-// client/daemon trace (`X` slices with hex `args.span`/`args.parent`
-// ids, tracemerge.cpp), a `socet trace-merge` concatenation of either —
-// or a `socet-journal-v1` JSONL document (events folded into per-corr
-// envelope spans keyed by their `span` field).  `load_trace` normalizes
-// all of them into one span forest; parse failures carry 1-based line
-// numbers so a truncated artifact names the break point.
+// Input: the one Chrome trace flavor the system emits — `X` slices
+// linked by hex `args.span`/`args.parent` ids — whether from a local
+// `--trace` (trace.cpp), a merged client/daemon trace (tracemerge.cpp)
+// or a `socet trace-merge` concatenation of either.  `load_trace`
+// builds the span forest from those ids alone; `from_spans` builds the
+// same forest straight from in-process SpanRecords (the run report's
+// path).  Anything else — B/E pairs, journal JSONL, malformed or
+// truncated JSON — is rejected with a message naming the offending
+// line or event.  All times are integer nanoseconds; renderings turn
+// them into microseconds last (JSON through `json_us`), so late spans
+// keep full precision.
 //
 // Three analyses on top (the `socet trace-analyze` CLI verb renders
 // them; socet_bench reuses the aggregation for regression attribution):
@@ -16,7 +19,7 @@
 //  * critical path — per root span (one per job in a merged trace),
 //    walk back from the root's end through whichever child gated each
 //    instant, yielding a chain of segments that covers [start, end]
-//    exactly once.  Every microsecond of the job's wall time is
+//    exactly once.  Every nanosecond of the job's wall time is
 //    attributed to exactly one span: self time where the span itself
 //    was the frontier, descent where a child was.
 //  * aggregation — fold any number of traces/jobs into per-span-name
@@ -40,6 +43,7 @@
 #include <vector>
 
 #include "socet/obs/metrics.hpp"
+#include "socet/obs/trace.hpp"
 
 namespace socet::obs::analyze {
 
@@ -48,47 +52,49 @@ struct Node {
   std::string name;
   int pid = 1;
   int tid = 0;
-  double start_us = 0;
-  double end_us = 0;
-  std::uint64_t id = 0;      ///< 0 when the format carries no span ids
+  std::int64_t start_ns = 0;
+  std::int64_t end_ns = 0;
+  std::uint64_t id = 0;      ///< 0 when the slice carries no span id
   std::uint64_t parent = 0;  ///< as declared; 0 = root
   int parent_index = -1;     ///< resolved tree link (-1 = root)
   std::vector<int> children;
 
-  [[nodiscard]] double dur_us() const { return end_us - start_us; }
+  [[nodiscard]] std::int64_t dur_ns() const { return end_ns - start_ns; }
 };
 
-/// One parsed trace artifact: the span forest plus provenance.
+/// One parsed trace: the span forest.
 struct TraceData {
   std::vector<Node> spans;
   std::vector<int> roots;  ///< indices of parentless spans
-  bool merged = false;     ///< true when spans carried explicit ids
-  bool journal = false;    ///< true when synthesized from a journal
 };
 
-/// Parse one artifact (Chrome trace JSON or socet-journal-v1 JSONL)
-/// into a span forest.  Returns false with a line-numbered message on
-/// malformed or truncated input; an empty-but-valid trace succeeds
-/// with zero spans.
+/// Parse one Chrome trace document into a span forest.  Returns false
+/// with a located message on malformed, truncated or non-id-linked
+/// (B/E) input; an empty-but-valid trace succeeds with zero spans.
 bool load_trace(std::string_view text, TraceData* out,
                 std::string* error = nullptr);
 
-/// One segment of a critical path: `[from_us, to_us)` was gated by
+/// The forest of in-process records (e.g. `recorded_spans()`), with
+/// times relative to the earliest start — exactly what `load_trace`
+/// returns for the `chrome_trace_json` rendering of the same records.
+TraceData from_spans(const std::vector<SpanRecord>& spans);
+
+/// One segment of a critical path: `[from_ns, to_ns)` was gated by
 /// `name` at nesting depth `depth` (0 = the root itself).
 struct CriticalStep {
   std::string name;
   int depth = 0;
-  double from_us = 0;
-  double to_us = 0;
+  std::int64_t from_ns = 0;
+  std::int64_t to_ns = 0;
 
-  [[nodiscard]] double self_us() const { return to_us - from_us; }
+  [[nodiscard]] std::int64_t self_ns() const { return to_ns - from_ns; }
 };
 
 /// The critical path of one root span, chronological order.
 struct CriticalPath {
   std::string root;
-  double start_us = 0;
-  double total_us = 0;
+  std::int64_t start_ns = 0;
+  std::int64_t total_ns = 0;
   std::vector<CriticalStep> steps;
 };
 
@@ -97,55 +103,55 @@ std::vector<CriticalPath> critical_paths(const TraceData& trace);
 
 /// Latency distribution of one span name (or one stage) across every
 /// analyzed trace.  Quantiles come from the 64-bucket power-of-two
-/// rank walk (`bucket_quantile`, observed=true) over integer
-/// microseconds, clamped to the exact extremes.
+/// rank walk (`bucket_quantile`, observed=true) over nanoseconds,
+/// clamped to the exact extremes.
 struct NameStats {
   std::string name;
   std::uint64_t count = 0;
-  double total_us = 0;
-  double self_us = 0;  ///< total minus children's union-merged cover
-  double min_us = 0;
-  double max_us = 0;
-  double p50_us = 0;
-  double p90_us = 0;
-  double p99_us = 0;
+  std::uint64_t total_ns = 0;
+  std::uint64_t self_ns = 0;  ///< total minus children's union-merged cover
+  std::uint64_t min_ns = 0;
+  std::uint64_t max_ns = 0;
+  double p50_ns = 0;
+  double p90_ns = 0;
+  double p99_ns = 0;
 };
 
 /// Aggregation over any number of traces.
 struct Aggregate {
   std::size_t traces = 0;
   std::size_t span_count = 0;
-  double wall_us = 0;  ///< sum over traces of (max end - min start)
-  std::vector<NameStats> by_name;   ///< sorted by total_us desc
+  std::uint64_t wall_ns = 0;  ///< sum over traces of (max end - min start)
+  std::vector<NameStats> by_name;   ///< sorted by total desc
   std::vector<NameStats> by_stage;  ///< folded by leading segment
   // Daemon runs: the queue-vs-compute split from the synthesized
   // serve/queue / serve/job / serve/respond spans (zero when absent).
-  double queue_us = 0;
-  double compute_us = 0;
-  double respond_us = 0;
+  std::uint64_t queue_ns = 0;
+  std::uint64_t compute_ns = 0;
+  std::uint64_t respond_ns = 0;
 };
 
 Aggregate aggregate(const std::vector<TraceData>& traces);
 
 /// One stage's contribution to the delta between two aggregates.
-/// Times are *self* microseconds: self partitions each trace's wall
+/// Times are *self* nanoseconds: self partitions each trace's wall
 /// time across stages exactly once, so a slowdown lands on the stage
 /// that caused it, not on every enclosing ancestor too.
 struct DiffEntry {
   std::string stage;
-  double a_us = 0;
-  double b_us = 0;
-  double delta_us = 0;   ///< b - a
-  double share_pct = 0;  ///< |delta| / sum(|delta|) * 100 (0 when flat)
+  std::uint64_t a_ns = 0;
+  std::uint64_t b_ns = 0;
+  std::int64_t delta_ns = 0;  ///< b - a
+  double share_pct = 0;       ///< |delta| / sum(|delta|) * 100 (0 when flat)
 };
 
 /// Stages ranked by signed delta descending (largest slowdown first),
 /// name-tiebroken for stability.  `guilty` names the top positive
 /// contributor ("" when nothing got slower).
 struct DiffResult {
-  double a_total_us = 0;
-  double b_total_us = 0;
-  double delta_us = 0;
+  std::uint64_t a_total_ns = 0;
+  std::uint64_t b_total_ns = 0;
+  std::int64_t delta_ns = 0;
   std::string guilty;
   std::vector<DiffEntry> entries;
 };

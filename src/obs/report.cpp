@@ -2,11 +2,11 @@
 
 #include <cmath>
 #include <cstdio>
-#include <map>
 
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/resource.hpp"
 #include "socet/obs/trace.hpp"
+#include "socet/obs/traceanalyze.hpp"
 
 namespace socet::obs {
 
@@ -58,60 +58,43 @@ std::string json_number(double value) {
   return buf;
 }
 
-namespace {
-
-struct SpanRollup {
-  std::uint64_t count = 0;
-  std::uint64_t total_ns = 0;
-  std::uint64_t min_ns = ~0ull;
-  std::uint64_t max_ns = 0;
-};
-
-std::string us(std::uint64_t ns) {
-  return json_number(static_cast<double>(ns) / 1e3);
+std::string json_us(std::int64_t ns) {
+  const std::uint64_t bits = static_cast<std::uint64_t>(ns);
+  const std::uint64_t magnitude = ns < 0 ? 0 - bits : bits;
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%s%llu.%03llu", ns < 0 ? "-" : "",
+                static_cast<unsigned long long>(magnitude / 1000),
+                static_cast<unsigned long long>(magnitude % 1000));
+  return buf;
 }
-
-}  // namespace
 
 std::string run_report_json(const std::string& command) {
   // Per-span-name and per-stage (leading path segment) rollups.
-  std::map<std::string, SpanRollup> spans;
-  std::map<std::string, SpanRollup> stages;
-  for (const TraceEvent& event : collect_trace_events()) {
-    const std::uint64_t ns = event.end_ns - event.start_ns;
-    const std::string name = event.name;
-    const std::string stage = name.substr(0, name.find('/'));
-    for (SpanRollup* roll : {&spans[name], &stages[stage]}) {
-      ++roll->count;
-      roll->total_ns += ns;
-      roll->min_ns = std::min(roll->min_ns, ns);
-      roll->max_ns = std::max(roll->max_ns, ns);
-    }
-  }
+  const analyze::Aggregate rollup =
+      analyze::aggregate({analyze::from_spans(recorded_spans())});
 
   std::string out = "{\"schema\":\"socet-report-v1\",\"command\":\"" +
                     json_escape(command) + "\",\"metrics\":" +
                     Registry::instance().json() + ",\"spans\":{";
   bool first = true;
-  for (const auto& [name, roll] : spans) {
+  for (const analyze::NameStats& span : rollup.by_name) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + json_escape(name) + "\":{\"count\":" +
-           std::to_string(roll.count) + ",\"total_us\":" + us(roll.total_ns) +
-           ",\"mean_us\":" +
-           json_number(static_cast<double>(roll.total_ns) /
-                       static_cast<double>(roll.count) / 1e3) +
-           ",\"min_us\":" + us(roll.min_ns) +
-           ",\"max_us\":" + us(roll.max_ns) + "}";
+    out += "\"" + json_escape(span.name) + "\":{\"count\":" +
+           std::to_string(span.count) +
+           ",\"total_us\":" + json_us(span.total_ns) +
+           ",\"mean_us\":" + json_us(span.total_ns / span.count) +
+           ",\"min_us\":" + json_us(span.min_ns) +
+           ",\"max_us\":" + json_us(span.max_ns) + "}";
   }
   out += "},\"stages\":{";
   first = true;
-  for (const auto& [stage, roll] : stages) {
+  for (const analyze::NameStats& stage : rollup.by_stage) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + json_escape(stage) + "\":{\"spans\":" +
-           std::to_string(roll.count) +
-           ",\"total_us\":" + us(roll.total_ns) + "}";
+    out += "\"" + json_escape(stage.name) + "\":{\"spans\":" +
+           std::to_string(stage.count) + ",\"total_us\":" +
+           json_us(stage.total_ns) + "}";
   }
   // Additive since v1: rusage/hw-counter accounting (obs/resource.hpp).
   out += "},\"resources\":" + resources_json() + "}";

@@ -1,7 +1,6 @@
 #include "socet/obs/trace.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
@@ -9,20 +8,24 @@
 #include <mutex>
 #include <thread>
 
-#include "socet/obs/report.hpp"
+#include "socet/obs/tracemerge.hpp"
 
 namespace socet::obs {
 
+namespace detail {
+std::atomic<bool> g_trace_enabled{false};
+constinit thread_local SpanCapture* g_capture = nullptr;
+}  // namespace detail
+
 namespace {
 
-std::atomic<bool> g_trace_enabled{false};
-
-/// Events recorded by one thread.  Registered with the sink on first
-/// use; the destructor (thread exit) hands the events back so worker
+/// One thread's recording state.  Registered with the sink on first
+/// use; the destructor (thread exit) hands the records back so worker
 /// threads that die before export still show up.
 struct ThreadBuffer {
   std::uint32_t tid = 0;
-  std::vector<TraceEvent> events;
+  std::vector<std::uint64_t> open;  ///< ids of this thread's open spans
+  std::vector<SpanRecord> records;  ///< closed, globally traced spans
   std::string thread_name;
 
   ThreadBuffer();
@@ -30,12 +33,12 @@ struct ThreadBuffer {
 };
 
 /// Global collection point.  Holds pointers to live thread buffers and
-/// the events/names of exited threads.
+/// the records/names of exited threads.
 struct TraceSink {
   std::mutex mutex;
   std::uint32_t next_tid = 1;
   std::vector<ThreadBuffer*> live;
-  std::vector<TraceEvent> retired;
+  std::vector<SpanRecord> retired;
   std::map<std::uint32_t, std::string> thread_names;
 
   static TraceSink& instance() {
@@ -54,7 +57,9 @@ ThreadBuffer::ThreadBuffer() {
 ThreadBuffer::~ThreadBuffer() {
   TraceSink& sink = TraceSink::instance();
   std::lock_guard<std::mutex> lock(sink.mutex);
-  sink.retired.insert(sink.retired.end(), events.begin(), events.end());
+  sink.retired.insert(sink.retired.end(),
+                      std::make_move_iterator(records.begin()),
+                      std::make_move_iterator(records.end()));
   if (!thread_name.empty()) sink.thread_names[tid] = thread_name;
   sink.live.erase(std::remove(sink.live.begin(), sink.live.end(), this),
                   sink.live.end());
@@ -67,12 +72,8 @@ ThreadBuffer& local_buffer() {
 
 }  // namespace
 
-bool trace_enabled() {
-  return g_trace_enabled.load(std::memory_order_relaxed);
-}
-
 void set_trace_enabled(bool enabled) {
-  g_trace_enabled.store(enabled, std::memory_order_relaxed);
+  detail::g_trace_enabled.store(enabled, std::memory_order_relaxed);
 }
 
 namespace detail {
@@ -110,65 +111,50 @@ std::uint64_t new_span_id() {
   return seed | counter.fetch_add(1, std::memory_order_relaxed);
 }
 
-namespace detail {
-
-/// Per-thread capture state owned by the active SpanCapture.
-struct CaptureState {
-  std::uint64_t remote_parent = 0;
-  std::vector<std::uint64_t> open;  ///< ids of currently open spans
-  std::vector<SpanRecord> records;
-};
-
-namespace {
-thread_local CaptureState* g_capture = nullptr;
-}  // namespace
-
-bool capture_active() { return g_capture != nullptr; }
-
-void capture_open(std::uint64_t* id, std::uint64_t* parent) {
-  CaptureState* state = g_capture;
-  if (state == nullptr) return;
-  *parent = state->open.empty() ? state->remote_parent : state->open.back();
-  *id = new_span_id();
-  state->open.push_back(*id);
-}
-
-void capture_close(const char* name, std::uint64_t id, std::uint64_t parent,
-                   std::uint64_t start_ns, std::uint64_t end_ns) {
-  CaptureState* state = g_capture;
-  if (state == nullptr) return;
-  if (!state->open.empty() && state->open.back() == id) state->open.pop_back();
-  state->records.push_back(
-      SpanRecord{name, local_buffer().tid, id, parent, start_ns, end_ns});
-}
-
-void record_span(const char* name, std::uint64_t start_ns,
-                 std::uint64_t end_ns) {
+void Span::open(const char* name) {
   ThreadBuffer& buffer = local_buffer();
-  buffer.events.push_back(TraceEvent{name, buffer.tid, start_ns, end_ns});
+  SpanCapture* capture = detail::g_capture;
+  traced_ = trace_enabled();
+  captured_ = capture != nullptr;
+  // A capture's outermost spans hang under the remote parent; anything
+  // deeper (or uncaptured) under the innermost open span.
+  if (captured_ && buffer.open.size() == capture->base_depth_) {
+    parent_ = capture->remote_parent_;
+  } else {
+    parent_ = buffer.open.empty() ? 0 : buffer.open.back();
+  }
+  name_ = name;
+  id_ = new_span_id();
+  buffer.open.push_back(id_);
+  start_ns_ = now_ns();
+  // After the start stamp, so the injected latency lands inside this
+  // span's duration (that's what the diff test attributes).
+  detail::maybe_test_delay(name);
 }
 
-}  // namespace detail
+void Span::close() {
+  const std::uint64_t end_ns = now_ns();
+  ThreadBuffer& buffer = local_buffer();
+  if (!buffer.open.empty() && buffer.open.back() == id_) buffer.open.pop_back();
+  SpanRecord record{name_, buffer.tid, id_, parent_, start_ns_, end_ns};
+  if (captured_ && detail::g_capture != nullptr) {
+    detail::g_capture->records_.push_back(record);
+  }
+  if (traced_) buffer.records.push_back(std::move(record));
+}
 
 SpanCapture::SpanCapture(std::uint64_t trace_id, std::uint64_t remote_parent)
-    : trace_id_(trace_id) {
+    : trace_id_(trace_id), remote_parent_(remote_parent) {
   if (detail::g_capture != nullptr) return;  // nested capture: passive
-  auto* state = new detail::CaptureState;
-  state->remote_parent = remote_parent;
-  state_ = state;
-  detail::g_capture = state;
+  base_depth_ = local_buffer().open.size();
+  detail::g_capture = this;
 }
 
 SpanCapture::~SpanCapture() {
-  if (state_ == nullptr) return;
-  detail::g_capture = nullptr;
-  delete static_cast<detail::CaptureState*>(state_);
+  if (detail::g_capture == this) detail::g_capture = nullptr;
 }
 
-std::vector<SpanRecord> SpanCapture::take() {
-  if (state_ == nullptr) return {};
-  return std::move(static_cast<detail::CaptureState*>(state_)->records);
-}
+std::vector<SpanRecord> SpanCapture::take() { return std::move(records_); }
 
 void name_this_thread(const std::string& name) {
   ThreadBuffer& buffer = local_buffer();
@@ -178,79 +164,35 @@ void name_this_thread(const std::string& name) {
   sink.thread_names[buffer.tid] = name;
 }
 
-std::vector<TraceEvent> collect_trace_events() {
+std::vector<SpanRecord> recorded_spans() {
   TraceSink& sink = TraceSink::instance();
   std::lock_guard<std::mutex> lock(sink.mutex);
-  std::vector<TraceEvent> events = sink.retired;
+  std::vector<SpanRecord> spans = sink.retired;
   for (const ThreadBuffer* buffer : sink.live) {
-    events.insert(events.end(), buffer->events.begin(),
-                  buffer->events.end());
+    spans.insert(spans.end(), buffer->records.begin(), buffer->records.end());
   }
-  std::sort(events.begin(), events.end(),
-            [](const TraceEvent& a, const TraceEvent& b) {
+  std::sort(spans.begin(), spans.end(),
+            [](const SpanRecord& a, const SpanRecord& b) {
               if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
               return a.end_ns > b.end_ns;
             });
-  return events;
+  return spans;
 }
 
 std::string chrome_trace_json() {
-  const std::vector<TraceEvent> events = collect_trace_events();
-  const std::uint64_t epoch = events.empty() ? 0 : events.front().start_ns;
-  const auto ts_us = [epoch](std::uint64_t ns) {
-    return json_number(static_cast<double>(ns - epoch) / 1e3);
-  };
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& event) {
-    if (!first) out += ',';
-    first = false;
-    out += event;
-  };
-
-  // Thread-name metadata events give each lane a readable label.
-  std::map<std::uint32_t, std::string> names;
+  const std::vector<SpanRecord> spans = recorded_spans();
+  ChromeTraceWriter writer(spans.empty() ? 0 : spans.front().start_ns);
   {
     TraceSink& sink = TraceSink::instance();
     std::lock_guard<std::mutex> lock(sink.mutex);
-    names = sink.thread_names;
-  }
-  for (const auto& [tid, name] : names) {
-    emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-         json_escape(name) + "\"}}");
-  }
-
-  // Spans within one thread nest strictly (RAII), so sorting by
-  // (start asc, end desc) and unwinding a stack of open spans yields a
-  // B/E sequence with valid Chrome nesting.
-  std::map<std::uint32_t, std::vector<TraceEvent>> lanes;
-  for (const TraceEvent& event : events) lanes[event.tid].push_back(event);
-  for (const auto& [tid, lane] : lanes) {
-    std::vector<TraceEvent> open;
-    const auto close_span = [&](const TraceEvent& span) {
-      emit("{\"ph\":\"E\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"" + json_escape(span.name) +
-           "\",\"cat\":\"socet\",\"ts\":" + ts_us(span.end_ns) + "}");
-    };
-    for (const TraceEvent& span : lane) {
-      while (!open.empty() && open.back().end_ns <= span.start_ns) {
-        close_span(open.back());
-        open.pop_back();
-      }
-      emit("{\"ph\":\"B\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-           ",\"name\":\"" + json_escape(span.name) +
-           "\",\"cat\":\"socet\",\"ts\":" + ts_us(span.start_ns) + "}");
-      open.push_back(span);
-    }
-    while (!open.empty()) {
-      close_span(open.back());
-      open.pop_back();
+    for (const auto& [tid, name] : sink.thread_names) {
+      writer.metadata(1, static_cast<int>(tid), "thread_name", name);
     }
   }
-  out += "]}";
-  return out;
+  for (const SpanRecord& span : spans) {
+    writer.slice(1, static_cast<int>(span.tid), span);
+  }
+  return writer.finish();
 }
 
 void reset_trace() {
@@ -258,7 +200,7 @@ void reset_trace() {
   std::lock_guard<std::mutex> lock(sink.mutex);
   sink.retired.clear();
   sink.thread_names.clear();
-  for (ThreadBuffer* buffer : sink.live) buffer->events.clear();
+  for (ThreadBuffer* buffer : sink.live) buffer->records.clear();
 }
 
 }  // namespace socet::obs

@@ -1,6 +1,8 @@
 #include "socet/obs/tracemerge.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -56,9 +58,15 @@ void write_json(const JsonValue& value, std::string* out) {
     case JsonValue::Kind::kBool:
       *out += value.bool_value ? "true" : "false";
       break;
-    case JsonValue::Kind::kNumber:
-      *out += json_number(value.number_value);
+    case JsonValue::Kind::kNumber: {
+      // Shortest round-trip form: re-serialized timestamps keep every
+      // digit (json_number's %.6g would round late spans together).
+      char buf[32];
+      const auto result =
+          std::to_chars(buf, buf + sizeof(buf), value.number_value);
+      out->append(buf, result.ptr);
       break;
+    }
     case JsonValue::Kind::kString:
       *out += '"';
       *out += json_escape(value.string_value);
@@ -170,6 +178,48 @@ bool parse_remote_spans_jsonl(std::string_view text,
   return true;
 }
 
+void ChromeTraceWriter::emit(const std::string& event) {
+  if (!first_) out_ += ',';
+  first_ = false;
+  out_ += event;
+}
+
+std::string ChromeTraceWriter::ts(std::uint64_t ns) const {
+  return json_us(static_cast<std::int64_t>(ns - epoch_ns_));
+}
+
+void ChromeTraceWriter::metadata(int pid, int tid, const char* what,
+                                 const std::string& name) {
+  emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
+       ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" + what +
+       "\",\"args\":{\"name\":\"" + json_escape(name) + "\"}}");
+}
+
+void ChromeTraceWriter::slice(int pid, int tid, const SpanRecord& span,
+                              std::uint64_t trace_id) {
+  std::string event =
+      "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
+      ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" +
+      json_escape(span.name) + "\",\"cat\":\"socet\",\"ts\":" +
+      ts(span.start_ns) + ",\"dur\":" +
+      json_us(static_cast<std::int64_t>(span.end_ns - span.start_ns)) +
+      ",\"args\":{";
+  if (trace_id != 0) event += "\"trace\":\"" + hex_id(trace_id) + "\",";
+  event += "\"span\":\"" + hex_id(span.id) + "\"";
+  if (span.parent != 0) event += ",\"parent\":\"" + hex_id(span.parent) + "\"";
+  emit(event + "}}");
+}
+
+void ChromeTraceWriter::flow(bool finish, int pid, int tid, std::uint64_t id,
+                             std::uint64_t at_ns) {
+  emit(std::string("{\"ph\":") + (finish ? "\"f\",\"bp\":\"e\"" : "\"s\"") +
+       ",\"pid\":" + std::to_string(pid) + ",\"tid\":" + std::to_string(tid) +
+       ",\"name\":\"submit\",\"cat\":\"socet\",\"id\":\"" + hex_id(id) +
+       "\",\"ts\":" + ts(at_ns) + "}");
+}
+
+std::string ChromeTraceWriter::finish() { return std::move(out_) + "]}"; }
+
 std::string merged_chrome_trace(const MergeInput& input) {
   // Re-base daemon spans onto the client clock up front; everything
   // after this point works in one timeline.
@@ -190,44 +240,9 @@ std::string merged_chrome_trace(const MergeInput& input) {
   for (const SpanRecord& span : input.client_spans) consider(span.start_ns);
   for (const SpanRecord& span : daemon) consider(span.start_ns);
 
-  const auto us = [epoch](std::uint64_t ns) {
-    return json_number(static_cast<double>(ns - epoch) / 1e3);
-  };
-  const auto dur_us = [](const SpanRecord& span) {
-    return json_number(static_cast<double>(span.end_ns - span.start_ns) /
-                       1e3);
-  };
-
-  std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  bool first = true;
-  const auto emit = [&](const std::string& event) {
-    if (!first) out += ',';
-    first = false;
-    out += event;
-  };
-  const auto meta = [&](int pid, int tid, const char* what,
-                        const std::string& name) {
-    emit("{\"ph\":\"M\",\"pid\":" + std::to_string(pid) +
-         ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" + what +
-         "\",\"args\":{\"name\":\"" + json_escape(name) + "\"}}");
-  };
-  meta(1, 0, "process_name", "socet client");
-  meta(2, 0, "process_name", "socet serve");
-
-  const std::string trace_hex = hex_id(input.trace_id);
-  const auto slice = [&](int pid, int tid, const SpanRecord& span,
-                         bool with_parent) {
-    std::string event = "{\"ph\":\"X\",\"pid\":" + std::to_string(pid) +
-                        ",\"tid\":" + std::to_string(tid) + ",\"name\":\"" +
-                        json_escape(span.name) +
-                        "\",\"cat\":\"socet\",\"ts\":" + us(span.start_ns) +
-                        ",\"dur\":" + dur_us(span) +
-                        ",\"args\":{\"trace\":\"" + trace_hex +
-                        "\",\"span\":\"" + hex_id(span.id) + "\"";
-    if (with_parent) event += ",\"parent\":\"" + hex_id(span.parent) + "\"";
-    event += "}}";
-    emit(event);
-  };
+  ChromeTraceWriter writer(epoch);
+  writer.metadata(1, 0, "process_name", "socet client");
+  writer.metadata(2, 0, "process_name", "socet serve");
 
   // Client submit spans overlap under pipelining, so stripe them
   // across as many pid-1 lanes as the window needed.
@@ -244,11 +259,11 @@ std::string merged_chrome_trace(const MergeInput& input) {
     client_lane_count = std::max(client_lane_count, client_lanes[i] + 1);
     const int tid = static_cast<int>(client_lanes[i]) + 1;
     client_by_id[client[i]->id] = {tid, client[i]->start_ns};
-    slice(1, tid, *client[i], /*with_parent=*/false);
+    writer.slice(1, tid, *client[i], input.trace_id);
   }
   for (std::size_t lane = 0; lane < client_lane_count; ++lane) {
-    meta(1, static_cast<int>(lane) + 1, "thread_name",
-         "submit #" + std::to_string(lane + 1));
+    writer.metadata(1, static_cast<int>(lane) + 1, "thread_name",
+                    "submit #" + std::to_string(lane + 1));
   }
 
   // Daemon worker spans (tid > 0) nest strictly per thread; the
@@ -269,10 +284,11 @@ std::string merged_chrome_trace(const MergeInput& input) {
                   return a->start_ns < b->start_ns;
                 return a->end_ns > b->end_ns;
               });
-    meta(2, static_cast<int>(tid), "thread_name",
-         "worker tid " + std::to_string(tid));
-    for (const SpanRecord* span : lane) slice(2, static_cast<int>(tid), *span,
-                                              /*with_parent=*/true);
+    writer.metadata(2, static_cast<int>(tid), "thread_name",
+                    "worker tid " + std::to_string(tid));
+    for (const SpanRecord* span : lane) {
+      writer.slice(2, static_cast<int>(tid), *span, input.trace_id);
+    }
   }
   std::sort(loose.begin(), loose.end(),
             [](const SpanRecord* a, const SpanRecord* b) {
@@ -282,12 +298,12 @@ std::string merged_chrome_trace(const MergeInput& input) {
   std::size_t loose_lane_count = 0;
   for (std::size_t i = 0; i < loose.size(); ++i) {
     loose_lane_count = std::max(loose_lane_count, loose_lanes[i] + 1);
-    slice(2, static_cast<int>(loose_lanes[i]) + 900, *loose[i],
-          /*with_parent=*/true);
+    writer.slice(2, static_cast<int>(loose_lanes[i]) + 900, *loose[i],
+                 input.trace_id);
   }
   for (std::size_t lane = 0; lane < loose_lane_count; ++lane) {
-    meta(2, static_cast<int>(lane) + 900, "thread_name",
-         "queue/respond #" + std::to_string(lane + 1));
+    writer.metadata(2, static_cast<int>(lane) + 900, "thread_name",
+                    "queue/respond #" + std::to_string(lane + 1));
   }
 
   // Flow events draw each client→daemon handoff: one `s` on the submit
@@ -296,19 +312,11 @@ std::string merged_chrome_trace(const MergeInput& input) {
     const auto client_it = client_by_id.find(span.parent);
     if (client_it == client_by_id.end()) continue;
     const auto [client_tid, client_start] = client_it->second;
-    const std::string id = hex_id(span.parent);
-    emit("{\"ph\":\"s\",\"pid\":1,\"tid\":" + std::to_string(client_tid) +
-         ",\"name\":\"submit\",\"cat\":\"socet\",\"id\":\"" + id +
-         "\",\"ts\":" + us(client_start) + "}");
-    const int daemon_tid = span.tid > 0 ? static_cast<int>(span.tid) : 900;
-    emit("{\"ph\":\"f\",\"bp\":\"e\",\"pid\":2,\"tid\":" +
-         std::to_string(daemon_tid) +
-         ",\"name\":\"submit\",\"cat\":\"socet\",\"id\":\"" + id +
-         "\",\"ts\":" + us(span.start_ns) + "}");
+    writer.flow(false, 1, client_tid, span.parent, client_start);
+    writer.flow(true, 2, span.tid > 0 ? static_cast<int>(span.tid) : 900,
+                span.parent, span.start_ns);
   }
-
-  out += "]}";
-  return out;
+  return writer.finish();
 }
 
 bool merge_chrome_trace_files(const std::string& base_json,
@@ -396,7 +404,9 @@ bool merge_chrome_trace_files(const std::string& base_json,
       if (key == "pid" && value.is_number()) {
         value.number_value += base_max_pid;
       } else if (key == "ts" && value.is_number()) {
-        value.number_value += overlay_offset_us;
+        // Stay on the nanosecond grid the writers emit.
+        value.number_value =
+            std::round((value.number_value + overlay_offset_us) * 1e3) / 1e3;
       }
     }
     if (!remap.empty()) {

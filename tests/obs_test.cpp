@@ -1,11 +1,12 @@
 // Observability subsystem: histogram bucket/quantile edge cases,
-// counters under concurrent increments, trace export shape (matched B/E
-// pairs, named worker lanes), the run-report JSON with its resources
-// block, the sampling profiler, and rusage accounting.
+// counters under concurrent increments, trace export shape (id-linked X
+// slices, named worker lanes), span capture, the run-report JSON with
+// its resources block, the sampling profiler, and rusage accounting.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -289,11 +290,14 @@ TEST_F(ObsTest, SnapshotAndRenderersListEveryMetric) {
 // -------------------------------------------------------------------- trace
 
 TEST_F(ObsTest, DisabledTracingRecordsNoSpans) {
+  const std::uint64_t before = obs::new_span_id();
   { SOCET_SPAN("obs_test/ignored"); }
-  EXPECT_TRUE(obs::collect_trace_events().empty());
+  EXPECT_TRUE(obs::recorded_spans().empty());
+  // The disabled path mints no span id.
+  EXPECT_EQ(obs::new_span_id(), before + 1);
 }
 
-TEST_F(ObsTest, TraceExportHasMatchedPairsAndWorkerLanes) {
+TEST_F(ObsTest, TraceExportHasLinkedSlicesAndWorkerLanes) {
   obs::set_trace_enabled(true);
   {
     SOCET_SPAN("obs_test/outer");
@@ -307,22 +311,71 @@ TEST_F(ObsTest, TraceExportHasMatchedPairsAndWorkerLanes) {
   worker.join();  // the worker's buffer retires before export
   obs::set_trace_enabled(false);
 
-  const auto events = obs::collect_trace_events();
-  ASSERT_EQ(events.size(), 4u);
-  for (const auto& event : events) EXPECT_LE(event.start_ns, event.end_ns);
+  const auto spans = obs::recorded_spans();
+  ASSERT_EQ(spans.size(), 4u);
+  const obs::SpanRecord* outer = nullptr;
+  const obs::SpanRecord* worker_span = nullptr;
+  for (const auto& span : spans) {
+    EXPECT_LE(span.start_ns, span.end_ns);
+    EXPECT_NE(span.id, 0u);
+    if (span.name == "obs_test/outer") outer = &span;
+    if (span.name == "obs_test/worker_span") worker_span = &span;
+  }
+  ASSERT_NE(outer, nullptr);
+  ASSERT_NE(worker_span, nullptr);
+  EXPECT_EQ(outer->parent, 0u);
+  EXPECT_EQ(worker_span->parent, 0u);  // a fresh thread starts a new tree
+  EXPECT_NE(worker_span->tid, outer->tid);
+  for (const auto& span : spans) {
+    if (span.name == "obs_test/inner") {
+      EXPECT_EQ(span.parent, outer->id);
+      EXPECT_EQ(span.tid, outer->tid);
+    }
+  }
 
   const std::string json = obs::chrome_trace_json();
   EXPECT_TRUE(json_balanced(json)) << json;
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"B\""), 4u);
-  EXPECT_EQ(count_occurrences(json, "\"ph\":\"E\""), 4u);
-  EXPECT_EQ(count_occurrences(json, "\"obs_test/inner\""), 4u);  // 2 B + 2 E
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"X\""), 4u);
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"B\""), 0u);
+  EXPECT_EQ(count_occurrences(json, "\"ph\":\"E\""), 0u);
+  EXPECT_EQ(count_occurrences(json, "\"span\":"), 4u);
+  // Both inner slices name the outer span as parent.
+  char outer_hex[32];
+  std::snprintf(outer_hex, sizeof(outer_hex), "\"parent\":\"0x%llx\"",
+                static_cast<unsigned long long>(outer->id));
+  EXPECT_EQ(count_occurrences(json, outer_hex), 2u) << json;
   // The worker lane is labelled via a thread_name metadata event.
   EXPECT_EQ(count_occurrences(json, "\"ph\":\"M\""), 1u);
   EXPECT_NE(json.find("\"worker-1\""), std::string::npos);
-  // Nesting: outer's B comes first in its lane (first mention) and its E
-  // comes after every inner E (last mention).
-  EXPECT_LT(json.find("\"obs_test/outer\""), json.find("\"obs_test/inner\""));
-  EXPECT_GT(json.rfind("\"obs_test/outer\""), json.rfind("\"obs_test/inner\""));
+  EXPECT_NE(json.find("\"tid\":" + std::to_string(worker_span->tid) +
+                      ",\"name\":\"obs_test/worker_span\""),
+            std::string::npos)
+      << json;
+}
+
+TEST_F(ObsTest, SpanCaptureParentsUnderTheRemoteSpan) {
+  // Tracing stays off: the capture alone records.
+  std::vector<obs::SpanRecord> records;
+  {
+    obs::SpanCapture capture(0x77, 0x1234);
+    {
+      SOCET_SPAN("obs_test/job");
+      { SOCET_SPAN("obs_test/step"); }
+      obs::SpanCapture nested(0x88, 0x5678);  // passive
+      { SOCET_SPAN("obs_test/step"); }
+      EXPECT_TRUE(nested.take().empty());
+    }
+    records = capture.take();
+  }
+  { SOCET_SPAN("obs_test/after"); }  // capture gone: nothing recorded
+  EXPECT_TRUE(obs::recorded_spans().empty());
+  ASSERT_EQ(records.size(), 3u);
+  const obs::SpanRecord& job = records.back();  // closes last
+  EXPECT_EQ(job.name, "obs_test/job");
+  EXPECT_EQ(job.parent, 0x1234u);
+  EXPECT_EQ(records[0].parent, job.id);
+  EXPECT_EQ(records[1].parent, job.id);
+  EXPECT_NE(records[0].id, records[1].id);
 }
 
 // ------------------------------------------------------------------- report

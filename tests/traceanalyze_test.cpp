@@ -1,7 +1,9 @@
 // Trace analytics engine: golden critical paths on hand-built span
 // trees, aggregation quantiles against a naive oracle, diff ranking
-// stability, malformed/truncated artifact rejection with line numbers,
-// and CLI round-trips on real `batch --trace` artifacts.
+// stability, malformed/truncated/B-E artifact rejection with line
+// numbers, nanosecond-exact timestamps past 10 s, in-process vs
+// exported trace equivalence, and CLI round-trips on real
+// `batch --trace` artifacts.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -11,9 +13,12 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
+#include "socet/obs/tracemerge.hpp"
 
 namespace socet {
 namespace {
@@ -24,7 +29,7 @@ using obs::analyze::DiffResult;
 using obs::analyze::NameStats;
 using obs::analyze::TraceData;
 
-/// One merged-format X slice with explicit hex span/parent ids.
+/// One id-linked X slice with explicit hex span/parent ids.
 std::string slice(const std::string& name, double ts, double dur,
                   std::uint64_t id, std::uint64_t parent, int pid = 1,
                   int tid = 1) {
@@ -54,6 +59,19 @@ std::string chrome_doc(const std::vector<std::string>& events) {
   return out + "]}";
 }
 
+obs::SpanRecord record(const std::string& name, std::uint64_t start_ns,
+                       std::uint64_t end_ns, std::uint64_t id,
+                       std::uint64_t parent) {
+  obs::SpanRecord span;
+  span.name = name;
+  span.tid = 1;
+  span.id = id;
+  span.parent = parent;
+  span.start_ns = start_ns;
+  span.end_ns = end_ns;
+  return span;
+}
+
 TraceData load_ok(const std::string& text) {
   TraceData trace;
   std::string error;
@@ -77,21 +95,21 @@ TEST(CriticalPathGolden, WalksBackThroughGatingChildren) {
   ASSERT_EQ(paths.size(), 1u);
   const CriticalPath& path = paths[0];
   EXPECT_EQ(path.root, "job/root");
-  EXPECT_DOUBLE_EQ(path.total_us, 100.0);
+  EXPECT_EQ(path.total_ns, 100'000);
   ASSERT_EQ(path.steps.size(), 5u);
   const char* expected_names[] = {"job/root", "stage/a", "job/root",
                                   "stage/b", "job/root"};
-  const double expected_from[] = {0, 10, 40, 50, 90};
-  const double expected_to[] = {10, 40, 50, 90, 100};
+  const std::int64_t expected_from_us[] = {0, 10, 40, 50, 90};
+  const std::int64_t expected_to_us[] = {10, 40, 50, 90, 100};
   for (std::size_t i = 0; i < 5; ++i) {
     EXPECT_EQ(path.steps[i].name, expected_names[i]) << "step " << i;
-    EXPECT_DOUBLE_EQ(path.steps[i].from_us, expected_from[i]) << "step " << i;
-    EXPECT_DOUBLE_EQ(path.steps[i].to_us, expected_to[i]) << "step " << i;
+    EXPECT_EQ(path.steps[i].from_ns, expected_from_us[i] * 1000) << i;
+    EXPECT_EQ(path.steps[i].to_ns, expected_to_us[i] * 1000) << i;
   }
-  // Every microsecond attributed exactly once.
-  double covered = 0;
-  for (const auto& step : path.steps) covered += step.self_us();
-  EXPECT_DOUBLE_EQ(covered, path.total_us);
+  // Every nanosecond attributed exactly once.
+  std::int64_t covered = 0;
+  for (const auto& step : path.steps) covered += step.self_ns();
+  EXPECT_EQ(covered, path.total_ns);
 }
 
 TEST(CriticalPathGolden, ParallelChildIsNotDoubleCounted) {
@@ -104,12 +122,12 @@ TEST(CriticalPathGolden, ParallelChildIsNotDoubleCounted) {
   }));
   const auto paths = obs::analyze::critical_paths(trace);
   ASSERT_EQ(paths.size(), 1u);
-  double covered = 0;
+  std::int64_t covered = 0;
   for (const auto& step : paths[0].steps) {
     EXPECT_NE(step.name, "stage/d");
-    covered += step.self_us();
+    covered += step.self_ns();
   }
-  EXPECT_DOUBLE_EQ(covered, 100.0);
+  EXPECT_EQ(covered, 100'000);
 }
 
 TEST(CriticalPathGolden, DeepNestingDescendsThroughEveryLevel) {
@@ -127,34 +145,28 @@ TEST(CriticalPathGolden, DeepNestingDescendsThroughEveryLevel) {
     if (step.name == "c/inner") {
       saw_inner = true;
       EXPECT_EQ(step.depth, 2);
-      EXPECT_DOUBLE_EQ(step.self_us(), 60.0);
+      EXPECT_EQ(step.self_ns(), 60'000);
     }
   }
   EXPECT_TRUE(saw_inner);
   EXPECT_EQ(max_depth, 2);
 }
 
-TEST(CriticalPathGolden, LocalBETraceNestsByContainment) {
-  // The local --trace flavor: B/E pairs, no span ids; nesting comes
-  // from containment within one (pid,tid) lane.
-  const std::string doc =
-      R"({"traceEvents":[)"
-      R"({"name":"cli/run","cat":"socet","ph":"B","ts":0,"pid":1,"tid":1},)"
-      "\n"
-      R"({"name":"soc/plan","cat":"socet","ph":"B","ts":10,"pid":1,"tid":1},)"
-      "\n"
-      R"({"cat":"socet","ph":"E","ts":60,"pid":1,"tid":1},)"
-      "\n"
-      R"({"cat":"socet","ph":"E","ts":100,"pid":1,"tid":1}]})";
-  const TraceData trace = load_ok(doc);
+TEST(CriticalPathGolden, LocalTraceNestsByParentIds) {
+  // The local --trace flavor: one lane, nesting carried by parent ids
+  // exactly as the recorder links them.
+  obs::ChromeTraceWriter writer(0);
+  writer.slice(1, 1, record("cli/run", 0, 100'000, 1, 0));
+  writer.slice(1, 1, record("soc/plan", 10'000, 60'000, 2, 1));
+  const TraceData trace = load_ok(writer.finish());
   ASSERT_EQ(trace.spans.size(), 2u);
   ASSERT_EQ(trace.roots.size(), 1u);
-  EXPECT_FALSE(trace.merged);
+  EXPECT_EQ(trace.spans[1].parent_index, 0);
   const auto paths = obs::analyze::critical_paths(trace);
   ASSERT_EQ(paths.size(), 1u);
   ASSERT_EQ(paths[0].steps.size(), 3u);
   EXPECT_EQ(paths[0].steps[1].name, "soc/plan");
-  EXPECT_DOUBLE_EQ(paths[0].steps[1].self_us(), 50.0);
+  EXPECT_EQ(paths[0].steps[1].self_ns(), 50'000);
 }
 
 // ------------------------------------------------------------ aggregation
@@ -171,12 +183,12 @@ TEST(AggregateQuantiles, ConstantDurationsAreExact) {
   ASSERT_EQ(agg.by_name.size(), 1u);
   const NameStats& s = agg.by_name[0];
   EXPECT_EQ(s.count, 20u);
-  EXPECT_DOUBLE_EQ(s.min_us, 37.0);
-  EXPECT_DOUBLE_EQ(s.max_us, 37.0);
-  EXPECT_DOUBLE_EQ(s.p50_us, 37.0);
-  EXPECT_DOUBLE_EQ(s.p90_us, 37.0);
-  EXPECT_DOUBLE_EQ(s.p99_us, 37.0);
-  EXPECT_DOUBLE_EQ(s.total_us, 20 * 37.0);
+  EXPECT_EQ(s.min_ns, 37'000u);
+  EXPECT_EQ(s.max_ns, 37'000u);
+  EXPECT_DOUBLE_EQ(s.p50_ns, 37'000.0);
+  EXPECT_DOUBLE_EQ(s.p90_ns, 37'000.0);
+  EXPECT_DOUBLE_EQ(s.p99_ns, 37'000.0);
+  EXPECT_EQ(s.total_ns, 20u * 37'000);
 }
 
 TEST(AggregateQuantiles, TrackNaiveOracleWithinBucketResolution) {
@@ -187,7 +199,7 @@ TEST(AggregateQuantiles, TrackNaiveOracleWithinBucketResolution) {
   std::vector<std::string> events;
   std::vector<double> durations;
   for (int i = 1; i <= 200; ++i) {
-    durations.push_back(i);
+    durations.push_back(i * 1000.0);
     events.push_back(slice("stage/ramp", i * 300.0, i,
                            static_cast<std::uint64_t>(i), 0));
   }
@@ -202,16 +214,16 @@ TEST(AggregateQuantiles, TrackNaiveOracleWithinBucketResolution) {
   };
   for (const auto& [q, value] :
        std::vector<std::pair<double, double>>{
-           {0.50, s.p50_us}, {0.90, s.p90_us}, {0.99, s.p99_us}}) {
+           {0.50, s.p50_ns}, {0.90, s.p90_ns}, {0.99, s.p99_ns}}) {
     const double truth = oracle(q);
     EXPECT_GE(value, truth / 2) << "q=" << q;
     EXPECT_LE(value, truth * 2) << "q=" << q;
-    EXPECT_GE(value, s.min_us);
-    EXPECT_LE(value, s.max_us);
+    EXPECT_GE(value, static_cast<double>(s.min_ns));
+    EXPECT_LE(value, static_cast<double>(s.max_ns));
   }
-  EXPECT_DOUBLE_EQ(s.min_us, 1.0);
-  EXPECT_DOUBLE_EQ(s.max_us, 200.0);
-  EXPECT_DOUBLE_EQ(s.total_us, 200.0 * 201.0 / 2);
+  EXPECT_EQ(s.min_ns, 1'000u);
+  EXPECT_EQ(s.max_ns, 200'000u);
+  EXPECT_EQ(s.total_ns, 1'000u * 200 * 201 / 2);
 }
 
 TEST(AggregateSelfTime, OverlappingChildrenAreUnionMerged) {
@@ -223,10 +235,12 @@ TEST(AggregateSelfTime, OverlappingChildrenAreUnionMerged) {
       slice("stage/y", 40, 40, 3, 1, 1, 2),
   }))});
   for (const NameStats& s : agg.by_name) {
-    if (s.name == "job/root") EXPECT_DOUBLE_EQ(s.self_us, 30.0);
+    if (s.name == "job/root") {
+      EXPECT_EQ(s.self_ns, 30'000u);
+    }
   }
   ASSERT_EQ(agg.by_stage.size(), 2u);  // job + stage
-  EXPECT_DOUBLE_EQ(agg.wall_us, 100.0);
+  EXPECT_EQ(agg.wall_ns, 100'000u);
 }
 
 TEST(AggregateDaemonSplit, QueueComputeRespondFromServeSpans) {
@@ -236,9 +250,9 @@ TEST(AggregateDaemonSplit, QueueComputeRespondFromServeSpans) {
       slice("serve/job", 25, 60, 3, 1, 2, 7),
       slice("serve/respond", 85, 10, 4, 1, 2, 900),
   }))});
-  EXPECT_DOUBLE_EQ(agg.queue_us, 20.0);
-  EXPECT_DOUBLE_EQ(agg.compute_us, 60.0);
-  EXPECT_DOUBLE_EQ(agg.respond_us, 10.0);
+  EXPECT_EQ(agg.queue_ns, 20'000u);
+  EXPECT_EQ(agg.compute_ns, 60'000u);
+  EXPECT_EQ(agg.respond_ns, 10'000u);
 }
 
 TEST(FoldedStacks, EmitsSelfMicrosecondsPerPath) {
@@ -262,10 +276,10 @@ Aggregate two_stage_aggregate(double a_dur, double b_dur) {
 TEST(Diff, IdenticalAggregatesReportZeroAttribution) {
   const Aggregate agg = two_stage_aggregate(50, 70);
   const DiffResult result = obs::analyze::diff(agg, agg);
-  EXPECT_DOUBLE_EQ(result.delta_us, 0.0);
+  EXPECT_EQ(result.delta_ns, 0);
   EXPECT_TRUE(result.guilty.empty());
   for (const auto& entry : result.entries) {
-    EXPECT_DOUBLE_EQ(entry.delta_us, 0.0);
+    EXPECT_EQ(entry.delta_ns, 0);
     EXPECT_DOUBLE_EQ(entry.share_pct, 0.0);
   }
 }
@@ -277,7 +291,7 @@ TEST(Diff, SlowedStageRanksFirst) {
   ASSERT_FALSE(result.entries.empty());
   EXPECT_EQ(result.entries[0].stage, "beta");
   EXPECT_EQ(result.guilty, "beta");
-  EXPECT_DOUBLE_EQ(result.entries[0].delta_us, 630.0);
+  EXPECT_EQ(result.entries[0].delta_ns, 630'000);
   EXPECT_NEAR(result.entries[0].share_pct, 100.0, 1e-9);
 }
 
@@ -301,8 +315,8 @@ TEST(Diff, StageOnlyInOneSideStillAttributes) {
   const DiffResult result = obs::analyze::diff(before, after);
   ASSERT_FALSE(result.entries.empty());
   EXPECT_EQ(result.entries[0].stage, "beta");
-  EXPECT_DOUBLE_EQ(result.entries[0].a_us, 0.0);
-  EXPECT_DOUBLE_EQ(result.entries[0].delta_us, 200.0);
+  EXPECT_EQ(result.entries[0].a_ns, 0u);
+  EXPECT_EQ(result.entries[0].delta_ns, 200'000);
 }
 
 // --------------------------------------------------- rejection / robustness
@@ -319,15 +333,18 @@ TEST(LoadTrace, TruncatedJsonNamesTheBreakLine) {
   EXPECT_NE(error.find("line 3"), std::string::npos) << error;
 }
 
-TEST(LoadTrace, UnclosedSpanIsATruncatedTrace) {
+TEST(LoadTrace, BeginEndInputIsRejected) {
+  // Only id-linked X slices are a trace; B/E pairs carry no parent ids.
   const std::string doc =
       R"({"traceEvents":[)"
-      R"({"name":"cli/run","ph":"B","ts":0,"pid":1,"tid":1}]})";
+      R"({"name":"cli/run","ph":"B","ts":0,"pid":1,"tid":1},)"
+      R"({"name":"cli/run","ph":"E","ts":9,"pid":1,"tid":1}]})";
   TraceData trace;
   std::string error;
   EXPECT_FALSE(obs::analyze::load_trace(doc, &trace, &error));
-  EXPECT_NE(error.find("truncated"), std::string::npos) << error;
-  EXPECT_NE(error.find("cli/run"), std::string::npos) << error;
+  EXPECT_NE(error.find("traceEvents[0]: 'B' event"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("id-linked"), std::string::npos) << error;
 }
 
 TEST(LoadTrace, EndWithoutBeginIsRejected) {
@@ -336,7 +353,21 @@ TEST(LoadTrace, EndWithoutBeginIsRejected) {
   TraceData trace;
   std::string error;
   EXPECT_FALSE(obs::analyze::load_trace(doc, &trace, &error));
-  EXPECT_NE(error.find("no open 'B'"), std::string::npos) << error;
+  EXPECT_NE(error.find("traceEvents[0]: 'E' event"), std::string::npos)
+      << error;
+}
+
+TEST(LoadTrace, OutOfRangeTimesAreRejected) {
+  // Past 2^53 ns a double µs value loses nanoseconds, and unbounded
+  // times would overflow the integer sums.
+  for (const std::string& event :
+       {std::string(R"({"name":"a","ph":"X","ts":1e300,"dur":1})"),
+        std::string(R"({"name":"a","ph":"X","ts":0,"dur":1e13})")}) {
+    TraceData trace;
+    std::string error;
+    EXPECT_FALSE(obs::analyze::load_trace(chrome_doc({event}), &trace, &error));
+    EXPECT_NE(error.find("out of range"), std::string::npos) << error;
+  }
 }
 
 TEST(LoadTrace, MissingTraceEventsAndEmptyInputAreRejected) {
@@ -348,43 +379,6 @@ TEST(LoadTrace, MissingTraceEventsAndEmptyInputAreRejected) {
   EXPECT_NE(error.find("line 1"), std::string::npos) << error;
 }
 
-TEST(LoadTrace, MalformedJournalLineIsNamed) {
-  const std::string journal =
-      "{\"schema\":\"socet-journal-v1\",\"events\":2}\n"
-      "{\"seq\":0,\"ts_us\":10,\"tid\":1,\"corr\":\"job-1\","
-      "\"span\":\"soc/plan\",\"type\":\"route\"}\n"
-      "{broken\n";
-  TraceData trace;
-  std::string error;
-  EXPECT_FALSE(obs::analyze::load_trace(journal, &trace, &error));
-  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
-}
-
-TEST(LoadTrace, JournalFoldsIntoPerCorrEnvelopes) {
-  const std::string journal =
-      "{\"schema\":\"socet-journal-v1\",\"events\":4}\n"
-      "{\"seq\":0,\"ts_us\":10,\"tid\":1,\"corr\":\"job-1\","
-      "\"span\":\"soc/plan\",\"type\":\"route\"}\n"
-      "{\"seq\":1,\"ts_us\":50,\"tid\":1,\"corr\":\"job-1\","
-      "\"span\":\"soc/plan\",\"type\":\"route\"}\n"
-      "{\"seq\":2,\"ts_us\":60,\"tid\":1,\"corr\":\"job-1\","
-      "\"span\":\"opt/move\",\"type\":\"move\"}\n"
-      "{\"seq\":3,\"ts_us\":30,\"tid\":2,\"corr\":\"job-2\","
-      "\"type\":\"cache\"}\n";
-  const TraceData trace = load_ok(journal);
-  EXPECT_TRUE(trace.journal);
-  ASSERT_EQ(trace.roots.size(), 2u);  // job-1, job-2
-  const Aggregate agg = obs::analyze::aggregate({trace});
-  bool saw_plan = false;
-  for (const NameStats& s : agg.by_name) {
-    if (s.name == "soc/plan") {
-      saw_plan = true;
-      EXPECT_DOUBLE_EQ(s.total_us, 40.0);  // event envelope [10,50]
-    }
-  }
-  EXPECT_TRUE(saw_plan);
-}
-
 TEST(LoadTrace, EmptyTraceEventsIsValidAndEmpty) {
   const TraceData trace = load_ok("{\"traceEvents\":[]}");
   EXPECT_TRUE(trace.spans.empty());
@@ -392,6 +386,106 @@ TEST(LoadTrace, EmptyTraceEventsIsValidAndEmpty) {
   const Aggregate agg = obs::analyze::aggregate({trace});
   EXPECT_EQ(agg.span_count, 0u);
   EXPECT_FALSE(obs::analyze::analysis_json({}, agg).empty());
+}
+
+// --------------------------------------------------------- one span path
+
+TEST(LateSpans, TimestampsPastTenSecondsStayExact) {
+  // A span 10.5 s into the run: %g-style rendering would round its ts
+  // to 1.05e+07 and fold it onto its neighbours.
+  const std::uint64_t epoch = 7'000'000'000;
+  const std::uint64_t late_start = epoch + 10'500'000'123;
+  const obs::SpanRecord root = record("cli/run", epoch, late_start + 5'000'000,
+                                      1, 0);
+  const obs::SpanRecord late =
+      record("opt/minimize_tat", late_start, late_start + 1'234'567, 2, 1);
+
+  obs::ChromeTraceWriter writer(epoch);
+  writer.slice(1, 1, root);
+  writer.slice(1, 1, late);
+  const std::string local = writer.finish();
+  EXPECT_NE(local.find("\"ts\":10500000.123,\"dur\":1234.567,"),
+            std::string::npos)
+      << local;
+
+  obs::MergeInput input;
+  input.trace_id = 0x99;
+  input.client_spans = {root};
+  input.daemon_spans = {late};
+  const std::string merged = obs::merged_chrome_trace(input);
+  EXPECT_NE(merged.find("\"ts\":10500000.123,\"dur\":1234.567,"),
+            std::string::npos)
+      << merged;
+
+  for (const std::string& doc : {local, merged}) {
+    const TraceData trace = load_ok(doc);
+    const Aggregate agg = obs::analyze::aggregate({trace});
+    bool found = false;
+    for (const NameStats& s : agg.by_name) {
+      if (s.name != "opt/minimize_tat") continue;
+      found = true;
+      EXPECT_EQ(s.total_ns, 1'234'567u);
+    }
+    EXPECT_TRUE(found);
+    EXPECT_NE(obs::analyze::analysis_json({}, agg).find(
+                  "\"opt/minimize_tat\":{\"count\":1,\"total_us\":1234.567,"),
+              std::string::npos);
+  }
+}
+
+TEST(OnePath, InProcessAndExportedTracesAnalyzeIdentically) {
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  {
+    SOCET_SPAN("main/outer");
+    { SOCET_SPAN("main/inner"); }
+    { SOCET_SPAN("main/inner"); }
+    std::thread worker([] {
+      obs::name_this_thread("worker-1");
+      obs::SpanCapture capture(0x42, 0x4242);
+      SOCET_SPAN("worker/job");
+      { SOCET_SPAN("worker/step"); }
+      { SOCET_SPAN("worker/step"); }
+    });
+    worker.join();
+  }
+  obs::set_trace_enabled(false);
+
+  const TraceData in_process = obs::analyze::from_spans(obs::recorded_spans());
+  const TraceData exported = load_ok(obs::chrome_trace_json());
+  obs::reset_trace();
+  ASSERT_EQ(in_process.spans.size(), 6u);
+  // main/outer and worker/job (parented on the remote capture span,
+  // absent here) are the roots.
+  EXPECT_EQ(in_process.roots.size(), 2u);
+
+  const Aggregate a = obs::analyze::aggregate({in_process});
+  const Aggregate b = obs::analyze::aggregate({exported});
+  EXPECT_EQ(a.wall_ns, b.wall_ns);
+  for (const auto& [x, y] : {std::pair{&a.by_name, &b.by_name},
+                             std::pair{&a.by_stage, &b.by_stage}}) {
+    ASSERT_EQ(x->size(), y->size());
+    for (std::size_t i = 0; i < x->size(); ++i) {
+      EXPECT_EQ((*x)[i].name, (*y)[i].name);
+      EXPECT_EQ((*x)[i].count, (*y)[i].count);
+      EXPECT_EQ((*x)[i].total_ns, (*y)[i].total_ns);
+      EXPECT_EQ((*x)[i].self_ns, (*y)[i].self_ns);
+    }
+  }
+
+  const auto pa = obs::analyze::critical_paths(in_process);
+  const auto pb = obs::analyze::critical_paths(exported);
+  ASSERT_EQ(pa.size(), pb.size());
+  for (std::size_t i = 0; i < pa.size(); ++i) {
+    EXPECT_EQ(pa[i].root, pb[i].root);
+    EXPECT_EQ(pa[i].total_ns, pb[i].total_ns);
+    ASSERT_EQ(pa[i].steps.size(), pb[i].steps.size());
+    for (std::size_t k = 0; k < pa[i].steps.size(); ++k) {
+      EXPECT_EQ(pa[i].steps[k].name, pb[i].steps[k].name);
+      EXPECT_EQ(pa[i].steps[k].from_ns, pb[i].steps[k].from_ns);
+      EXPECT_EQ(pa[i].steps[k].to_ns, pb[i].steps[k].to_ns);
+    }
+  }
 }
 
 // ------------------------------------------------------------ CLI round-trip

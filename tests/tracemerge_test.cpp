@@ -200,9 +200,9 @@ TEST(MergedTrace, ClientAndDaemonShareOneAlignedTimeline) {
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   // The daemon's clock was 123us ahead; after re-basing, job 1's queue
-  // span starts 5us after the submit span, i.e. at relative ts 5.
+  // span starts 5us after the submit span, i.e. at relative ts 5.000.
   EXPECT_NE(
-      json.find("\"name\":\"serve/queue\",\"cat\":\"socet\",\"ts\":5,"),
+      json.find("\"name\":\"serve/queue\",\"cat\":\"socet\",\"ts\":5.000,"),
       std::string::npos)
       << json;
   // Hex ids link the halves for tooling.

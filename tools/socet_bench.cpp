@@ -312,37 +312,34 @@ void attribute_regression(const Options& options, const std::string& name) {
   util::Table table({"stage", "spans", "total (ms)", "self (ms)", "share %"});
   double self_total = 0;
   for (const obs::analyze::NameStats& stage : agg.by_stage) {
-    self_total += stage.self_us;
+    self_total += static_cast<double>(stage.self_ns);
   }
+  const auto ms = [](std::int64_t ns) {
+    return util::Table::num(static_cast<double>(ns) / 1e6, 2);
+  };
+  const auto share = [self_total](std::int64_t ns) {
+    return util::Table::num(
+        self_total <= 0 ? 0 : 100.0 * static_cast<double>(ns) / self_total, 1);
+  };
   // by_stage is total-sorted; rank by self so a slow leaf beats the
   // root span that merely contains it (same reasoning as diff()).
   std::vector<obs::analyze::NameStats> stages = agg.by_stage;
   std::sort(stages.begin(), stages.end(),
             [](const obs::analyze::NameStats& a,
                const obs::analyze::NameStats& b) {
-              if (a.self_us != b.self_us) return a.self_us > b.self_us;
+              if (a.self_ns != b.self_ns) return a.self_ns > b.self_ns;
               return a.name < b.name;
             });
   for (const obs::analyze::NameStats& stage : stages) {
-    table.add_row(
-        {stage.name, std::to_string(stage.count),
-         util::Table::num(stage.total_us / 1e3, 2),
-         util::Table::num(stage.self_us / 1e3, 2),
-         util::Table::num(
-             self_total <= 0 ? 0 : 100.0 * stage.self_us / self_total, 1)});
+    table.add_row({stage.name, std::to_string(stage.count), ms(stage.total_ns),
+                   ms(stage.self_ns), share(stage.self_ns)});
   }
   std::printf("\nper-stage attribution for bench_%s (trace: %s):\n%s",
               name.c_str(), trace_path.c_str(), table.to_text().c_str());
   if (!stages.empty()) {
     std::printf("guilty stage: %s (%s ms self, %s%% of traced time)\n",
-                stages.front().name.c_str(),
-                util::Table::num(stages.front().self_us / 1e3, 2).c_str(),
-                util::Table::num(self_total <= 0 ? 0
-                                                 : 100.0 *
-                                                       stages.front().self_us /
-                                                       self_total,
-                                 1)
-                    .c_str());
+                stages.front().name.c_str(), ms(stages.front().self_ns).c_str(),
+                share(stages.front().self_ns).c_str());
   }
 }
 

@@ -464,9 +464,9 @@ int cmd_trace_merge(const Args& args) {
       std::strtod(args.get("offset-us", "0").c_str(), nullptr);
   std::string merged;
   std::string error;
-  util::require(
-      obs::merge_chrome_trace_files(base, overlay, offset_us, &merged, &error),
-      "trace-merge: " + error);
+  const bool ok =
+      obs::merge_chrome_trace_files(base, overlay, offset_us, &merged, &error);
+  util::require(ok, "trace-merge: " + error);
   const std::string out_path = args.get("out", "");
   if (out_path.empty()) {
     std::printf("%s", merged.c_str());
@@ -480,7 +480,8 @@ int cmd_trace_merge(const Args& args) {
 
 /// `socet trace-analyze FILE... [--json] [--folded] [--top N] [--out F]`
 /// or `socet trace-analyze --diff A.json B.json [--json]`: offline
-/// analytics over Chrome-trace / journal artifacts — critical path,
+/// analytics over the id-linked Chrome traces that `--trace`,
+/// `batch --connect --trace` and `trace-merge` write — critical path,
 /// per-stage latency distributions, and differential attribution
 /// (docs/OBSERVABILITY.md "Analyzing traces").
 int cmd_trace_analyze(const Args& args) {
@@ -493,8 +494,9 @@ int cmd_trace_analyze(const Args& args) {
   const auto load = [&read_text](const std::string& path) {
     obs::analyze::TraceData trace;
     std::string error;
-    util::require(obs::analyze::load_trace(read_text(path), &trace, &error),
-                  "trace-analyze: " + path + ": " + error);
+    // Parse before building the message (argument order is unspecified).
+    const bool ok = obs::analyze::load_trace(read_text(path), &trace, &error);
+    util::require(ok, "trace-analyze: " + path + ": " + error);
     return trace;
   };
   // parse_args folds the token after a bare flag into its value, so a
@@ -828,8 +830,8 @@ int cmd_explain(const Args& args) {
   const std::string source = args.has("connect")
                                  ? args.get("connect", "")
                                  : args.get("journal", "");
-  util::require(obs::load_journal(text, &doc, &error),
-                "bad journal '" + source + "': " + error);
+  const bool ok = obs::load_journal(text, &doc, &error);
+  util::require(ok, "bad journal '" + source + "': " + error);
 
   const std::string query = args.positional(0);
   util::require(!query.empty(),
@@ -896,7 +898,7 @@ int usage() {
       "            remapped)\n"
       "  trace-analyze FILE... [--json] [--folded] [--top N] [--out FILE]\n"
       "            (critical path + per-stage latency distributions over\n"
-      "            Chrome-trace / journal artifacts)\n"
+      "            --trace / --connect --trace / trace-merge documents)\n"
       "  trace-analyze --diff A.json B.json [--json] [--out FILE]\n"
       "            (rank stages by contribution to the B-A delta)\n"
       "  sweep     [--system ...] [--threads N] (parallel explore)\n"
@@ -910,7 +912,8 @@ int usage() {
       "            daemon's live ring via --connect + --journal-ring)\n"
       "observability (any command; stdout is never touched):\n"
       "  --metrics       print the metrics table to stderr on exit\n"
-      "  --trace FILE    write a Chrome trace-event JSON (chrome://tracing)\n"
+      "  --trace FILE    write a Chrome trace-event JSON (chrome://tracing;\n"
+      "                  id-linked X slices, input to trace-analyze)\n"
       "  --report FILE   write a run-report JSON (metrics + span rollups +\n"
       "                  rusage/hw-counter resource accounting)\n"
       "  --profile FILE  sample the run with SIGPROF; folded stacks to\n"
