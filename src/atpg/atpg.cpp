@@ -76,6 +76,8 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
       PodemResult pr = podem(netlist, result.faults[fi], podem_options);
       SOCET_COUNT("atpg/podem_calls");
       SOCET_COUNT_N("atpg/backtracks", pr.backtracks);
+      SOCET_COUNT_N("atpg/implications", pr.implications);
+      SOCET_COUNT_N("atpg/imply_gate_evals", pr.gate_evals);
       switch (pr.outcome) {
         case PodemResult::Outcome::kUntestable:
           result.statuses[fi] = FaultStatus::kUntestable;

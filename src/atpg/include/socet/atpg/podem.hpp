@@ -7,9 +7,18 @@
 //
 // The implementation is textbook PODEM: objective selection (activate the
 // fault, then advance the D-frontier), backtrace to an input assignment,
-// full 5-valued implication, X-path pruning, and chronological
-// backtracking with a configurable limit.  Exhausting the decision tree
-// proves the fault untestable (redundant).
+// implication, X-path pruning, and chronological backtracking with a
+// configurable limit.  Exhausting the decision tree proves the fault
+// untestable (redundant).
+//
+// Implication is levelized and event-driven over a flat (CSR) view of the
+// netlist built once per call: the good and faulty 3-valued machines (the
+// 5-valued D-algebra) are evaluated together, and only the fanouts of
+// lines whose (good, faulty) pair changed are re-evaluated, level by
+// level.  The first implication evaluates every gate from the all-X
+// state.  A value trail lets a backtrack restore the values from before
+// a decision instead of re-implying them.  The lines carrying a D are
+// kept as a set, from which the X-path check and the D-frontier start.
 #pragma once
 
 #include <cstdint>
@@ -36,6 +45,9 @@ struct PodemResult {
   std::vector<bool> pi_dont_care;
   std::vector<bool> ppi_dont_care;
   unsigned backtracks = 0;
+  /// Implication calls, and the gate evaluations they made (work units).
+  unsigned implications = 0;
+  std::uint64_t gate_evals = 0;
 };
 
 PodemResult podem(const gate::GateNetlist& netlist, const faultsim::Fault& fault,

@@ -7,106 +7,180 @@ namespace socet::atpg {
 namespace {
 
 using faultsim::Fault;
-using gate::Gate;
 using gate::GateId;
 using gate::GateKind;
 
-V3 v3_not(V3 a) {
-  if (a == V3::kX) return V3::kX;
-  return a == V3::k0 ? V3::k1 : V3::k0;
+// One line's (good, faulty) value pair in four bits: bits 0 / 1 mean "the
+// good machine is 0 / 1", bits 2 / 3 the same for the faulty machine, and
+// a machine with neither bit set is X.  AND-ing the "is 1" bits and
+// OR-ing the "is 0" bits over a gate's fanins evaluates an AND for both
+// machines at once; NOT swaps each machine's two bits.
+using Pair = std::uint8_t;
+constexpr Pair kIsZero = 0b0101;
+constexpr Pair kIsOne = 0b1010;
+constexpr Pair kGoodBits = 0b0011;
+constexpr Pair kAllBits = 0b1111;
+
+constexpr Pair invert(Pair v) {
+  return static_cast<Pair>(((v & kIsZero) << 1) | ((v & kIsOne) >> 1));
 }
 
-V3 v3_and(V3 a, V3 b) {
-  if (a == V3::k0 || b == V3::k0) return V3::k0;
-  if (a == V3::k1 && b == V3::k1) return V3::k1;
-  return V3::kX;
+/// XOR on both machines: a machine's output is known only where both of
+/// its inputs are.
+constexpr Pair exclusive_or(Pair a, Pair b) {
+  const Pair known = (a | a >> 1) & (b | b >> 1) & kIsZero;
+  const Pair one = ((a ^ b) >> 1) & known;
+  return static_cast<Pair>((one << 1) | (known & ~one));
 }
 
-V3 v3_or(V3 a, V3 b) {
-  if (a == V3::k1 || b == V3::k1) return V3::k1;
-  if (a == V3::k0 && b == V3::k0) return V3::k0;
-  return V3::kX;
+/// Both machines carry an assigned input value.
+constexpr Pair pair_of(V3 v) {
+  return v == V3::k0 ? kIsZero : v == V3::k1 ? kIsOne : Pair{0};
 }
 
-V3 v3_xor(V3 a, V3 b) {
-  if (a == V3::kX || b == V3::kX) return V3::kX;
-  return a == b ? V3::k0 : V3::k1;
+/// The faulty-machine bits of a line stuck at `value`.
+constexpr Pair stuck_bits(bool value) { return value ? 0b1000 : 0b0100; }
+
+constexpr V3 good_of(Pair v) {
+  return (v & 1) ? V3::k0 : (v & 2) ? V3::k1 : V3::kX;
+}
+
+/// Either machine is still X: the line can still be assigned or can
+/// still pass a fault effect.  (Inside the fault cone the two sides
+/// diverge: a line can be known good but X faulty — e.g. AND(fault-site,
+/// unassigned) — and the objective machinery must still drive the
+/// unassigned support.)
+constexpr bool either_x(Pair v) { return !(v & kGoodBits) || !(v >> 2); }
+
+constexpr bool is_d(Pair v) {
+  return !either_x(v) && (v & kGoodBits) != (v >> 2);
 }
 
 class Podem {
  public:
   Podem(const gate::GateNetlist& netlist, std::vector<Fault> faults,
         const PodemOptions& options)
-      : netlist_(netlist), faults_(std::move(faults)), options_(options) {
+      : faults_(std::move(faults)), options_(options) {
     util::require(!faults_.empty(), "podem: need at least one fault site");
+    const std::size_t n = netlist.gate_count();
+
+    // Flat view: gate kinds, CSR fanins, and CSR fanouts restricted to the
+    // combinational sinks implication re-evaluates (an Input or DFF sink
+    // takes its value from the assignment, not from its fanin).
+    kind_.resize(n);
+    fanin_begin_.assign(n + 1, 0);
+    fanout_begin_.assign(n + 1, 0);
+    for (std::size_t g = 0; g < n; ++g) {
+      const gate::Gate& gate = netlist.gates()[g];
+      kind_[g] = gate.kind;
+      fanin_begin_[g + 1] =
+          fanin_begin_[g] + static_cast<std::uint32_t>(gate.fanin.size());
+      for (GateId f : gate.fanin) fanin_.push_back(f.index());
+      if (!is_source(g)) {
+        for (GateId f : gate.fanin) ++fanout_begin_[f.index() + 1];
+      }
+    }
+    for (std::size_t g = 0; g < n; ++g) fanout_begin_[g + 1] += fanout_begin_[g];
+    fanout_.resize(fanout_begin_[n]);
+    {
+      std::vector<std::uint32_t> fill(fanout_begin_.begin(),
+                                      fanout_begin_.end() - 1);
+      for (std::uint32_t g = 0; g < n; ++g) {
+        if (is_source(g)) continue;
+        for (std::uint32_t p = fanin_begin_[g]; p < fanin_begin_[g + 1]; ++p) {
+          fanout_[fill[fanin_[p]]++] = g;
+        }
+      }
+    }
+
     // Per-gate fault lookup (at most one site per gate).
-    site_pin_.assign(netlist.gate_count(), kNoFault);
-    site_value_.assign(netlist.gate_count(), 0);
+    site_pin_.assign(n, kNoFault);
+    site_force_.assign(n, 0);
     for (const Fault& f : faults_) {
       util::require(site_pin_[f.gate.index()] == kNoFault,
                     "podem: two fault sites on one gate");
       site_pin_[f.gate.index()] = f.pin;
-      site_value_[f.gate.index()] = f.stuck_at ? 1 : 0;
+      site_force_[f.gate.index()] = stuck_bits(f.stuck_at);
     }
     // Decision variables: PIs then PPIs.
-    for (GateId id : netlist.inputs()) lines_.push_back(id);
-    for (GateId id : netlist.dffs()) lines_.push_back(id);
-    line_pos_.assign(netlist.gate_count(), -1);
+    for (GateId id : netlist.inputs()) lines_.push_back(id.index());
+    for (GateId id : netlist.dffs()) lines_.push_back(id.index());
+    line_pos_.assign(n, -1);
     for (std::size_t i = 0; i < lines_.size(); ++i) {
-      line_pos_[lines_[i].index()] = static_cast<std::int32_t>(i);
+      line_pos_[lines_[i]] = static_cast<std::int32_t>(i);
     }
     assign_.assign(lines_.size(), V3::kX);
-    good_.assign(netlist.gate_count(), V3::kX);
-    faulty_.assign(netlist.gate_count(), V3::kX);
+    n_pi_ = netlist.inputs().size();
 
-    observe_ = netlist.outputs();
-    for (GateId dff : netlist.dffs()) {
-      observe_.push_back(netlist.gate(dff).fanin[0]);
-    }
-    std::sort(observe_.begin(), observe_.end());
-    observe_.erase(std::unique(observe_.begin(), observe_.end()),
-                   observe_.end());
+    observable_.assign(n, 0);
+    for (GateId id : netlist.outputs()) observable_[id.index()] = 1;
+    for (GateId dff : netlist.dffs()) observable_[fanin_of(dff.index(), 0)] = 1;
 
     // Static guidance: distance-to-observation for D-frontier selection
-    // and logic depth for backtrace input choice (a SCOAP-lite).
-    obs_dist_.assign(netlist.gate_count(), kFarAway);
-    for (GateId id : observe_) obs_dist_[id.index()] = 0;
+    // and logic depth for backtrace input choice (a SCOAP-lite).  The
+    // depth is also the level event-driven implication runs in.
+    obs_dist_.assign(n, kFarAway);
+    for (std::uint32_t g = 0; g < n; ++g) {
+      if (observable_[g]) obs_dist_[g] = 0;
+    }
     const auto& order = netlist.topo_order();
     for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      const unsigned here = obs_dist_[it->index()];
+      const std::uint32_t g = it->index();
+      const unsigned here = obs_dist_[g];
       if (here == kFarAway) continue;
-      for (GateId f : netlist.gate(*it).fanin) {
-        obs_dist_[f.index()] = std::min(obs_dist_[f.index()], here + 1);
+      for (std::uint32_t p = fanin_begin_[g]; p < fanin_begin_[g + 1]; ++p) {
+        obs_dist_[fanin_[p]] = std::min(obs_dist_[fanin_[p]], here + 1);
       }
     }
-    depth_.assign(netlist.gate_count(), 0);
-    for (GateId id : order) {
+    depth_.assign(n, 0);
+    topo_pos_.assign(n, 0);
+    unsigned max_depth = 0;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const std::uint32_t g = order[i].index();
+      topo_pos_[g] = static_cast<std::uint32_t>(i);
+      if (is_source(g)) continue;
       unsigned d = 0;
-      for (GateId f : netlist.gate(id).fanin) {
-        d = std::max(d, depth_[f.index()] + 1);
+      for (std::uint32_t p = fanin_begin_[g]; p < fanin_begin_[g + 1]; ++p) {
+        d = std::max(d, depth_[fanin_[p]] + 1);
       }
-      const auto kind = netlist.gate(id).kind;
-      depth_[id.index()] =
-          (kind == GateKind::kInput || kind == GateKind::kDff) ? 0 : d;
+      depth_[g] = d;
+      max_depth = std::max(max_depth, d);
     }
+
+    // Each level's queue is a fixed slice of one array, sized by the number
+    // of gates on that level.
+    level_begin_.assign(max_depth + 2, 0);
+    for (std::uint32_t g = 0; g < n; ++g) ++level_begin_[depth_[g] + 1];
+    for (unsigned d = 0; d <= max_depth; ++d) {
+      level_begin_[d + 1] += level_begin_[d];
+    }
+    level_size_.assign(max_depth + 1, 0);
+    level_slots_.resize(n);
+
+    val_.assign(n, 0);
+    queued_.assign(n, 0);
+    d_slot_.assign(n, kNotD);
+    seen_.assign(n, 0);
+    // The first implication evaluates every gate from the all-X state.
+    for (std::uint32_t g = 0; g < n; ++g) schedule(g);
   }
 
   static constexpr unsigned kFarAway = 1u << 30;
 
   PodemResult run() {
-    PodemResult result;
     struct Decision {
       std::size_t pos;
       bool flipped;
+      std::size_t mark;  ///< trail size before this decision was implied
     };
     std::vector<Decision> stack;
 
     imply();
+    trail_.clear();  // the all-X pass is never undone
     while (true) {
       if (!conflict() && detected()) {
-        result.outcome = PodemResult::Outcome::kFound;
+        PodemResult result = finish(PodemResult::Outcome::kFound);
         fill_pattern(result);
-        result.backtracks = backtracks_;
         return result;
       }
 
@@ -116,25 +190,27 @@ class Podem {
           !conflict() && x_path_exists() && next_objective(obj_pos, obj_value);
 
       if (progress) {
-        stack.push_back(Decision{static_cast<std::size_t>(obj_pos), false});
-        assign_[obj_pos] = obj_value ? V3::k1 : V3::k0;
+        stack.push_back(
+            Decision{static_cast<std::size_t>(obj_pos), false, trail_.size()});
+        decide(obj_pos, obj_value ? V3::k1 : V3::k0);
         imply();
         continue;
       }
 
-      // Backtrack.
+      // Backtrack: the trail restores the values from before the top
+      // decision, so popping needs no implication and a flip implies only
+      // its own line.
       ++backtracks_;
       if (backtracks_ > options_.backtrack_limit) {
-        result.outcome = PodemResult::Outcome::kAborted;
-        result.backtracks = backtracks_;
-        return result;
+        return finish(PodemResult::Outcome::kAborted);
       }
       bool resumed = false;
       while (!stack.empty()) {
         Decision& top = stack.back();
+        undo_to(top.mark);
         if (!top.flipped) {
           top.flipped = true;
-          assign_[top.pos] = v3_not(assign_[top.pos]);
+          decide(top.pos, assign_[top.pos] == V3::k0 ? V3::k1 : V3::k0);
           imply();
           resumed = true;
           break;
@@ -142,80 +218,151 @@ class Podem {
         assign_[top.pos] = V3::kX;
         stack.pop_back();
       }
-      if (!resumed) {
-        imply();
-        result.outcome = PodemResult::Outcome::kUntestable;
-        result.backtracks = backtracks_;
-        return result;
-      }
+      if (!resumed) return finish(PodemResult::Outcome::kUntestable);
     }
   }
 
  private:
-  /// Full-circuit composite implication from the current assignments.
+  bool is_source(std::uint32_t g) const {
+    return kind_[g] == GateKind::kInput || kind_[g] == GateKind::kDff;
+  }
+
+  std::uint32_t fanin_of(std::uint32_t g, std::uint32_t pin) const {
+    return fanin_[fanin_begin_[g] + pin];
+  }
+
+  /// Set decision variable `pos` and queue its line for implication.
+  void decide(std::size_t pos, V3 value) {
+    assign_[pos] = value;
+    schedule(lines_[pos]);
+  }
+
+  void schedule(std::uint32_t g) {
+    if (queued_[g]) return;
+    queued_[g] = 1;
+    const unsigned level = depth_[g];
+    level_slots_[level_begin_[level] + level_size_[level]++] = g;
+    top_level_ = std::max(top_level_, level);
+  }
+
+  /// Levelized event-driven implication: evaluate the queued gates level
+  /// by level and queue the fanouts of every gate whose pair changed.
+  /// Every fanout sits on a deeper level, so each gate is evaluated at
+  /// most once per call, after all of its changed fanins.
   void imply() {
-    for (std::size_t i = 0; i < lines_.size(); ++i) {
-      good_[lines_[i].index()] = assign_[i];
-      faulty_[lines_[i].index()] = assign_[i];
-    }
-    // Stem faults on input lines force the faulty side immediately.
-    for (GateId id : netlist_.topo_order()) {
-      const Gate& g = netlist_.gate(id);
-      if (g.kind == GateKind::kInput || g.kind == GateKind::kDff) {
-        apply_fault_at(id);
-        continue;
+    ++implications_;
+    for (unsigned level = 0; level <= top_level_; ++level) {
+      const std::uint32_t* queue = level_slots_.data() + level_begin_[level];
+      const std::uint32_t queued = level_size_[level];
+      for (std::uint32_t i = 0; i < queued; ++i) {
+        const std::uint32_t g = queue[i];
+        queued_[g] = 0;
+        const Pair next = evaluate(g);
+        const Pair prev = val_[g];
+        if (next == prev) continue;
+        val_[g] = next;
+        trail_.push_back({g, prev});
+        if (is_d(next) != is_d(prev)) track_d(g, is_d(next));
+        for (std::uint32_t k = fanout_begin_[g]; k < fanout_begin_[g + 1];
+             ++k) {
+          schedule(fanout_[k]);
+        }
       }
-      good_[id.index()] = eval3(g, good_, -1, false);
-      const std::int32_t pin = site_pin_[id.index()];
-      faulty_[id.index()] =
-          eval3(g, faulty_, pin >= 0 ? pin : -1,
-                site_value_[id.index()] != 0);
-      apply_fault_at(id);
+      gate_evals_ += queued;
+      level_size_[level] = 0;
+    }
+    top_level_ = 0;
+  }
+
+  /// Restore every value changed since the trail held `mark` entries.
+  void undo_to(std::size_t mark) {
+    while (trail_.size() > mark) {
+      const auto [g, prev] = trail_.back();
+      trail_.pop_back();
+      if (is_d(val_[g]) != is_d(prev)) track_d(g, is_d(prev));
+      val_[g] = prev;
     }
   }
 
-  void apply_fault_at(GateId id) {
-    if (site_pin_[id.index()] == -1) {  // stem fault
-      faulty_[id.index()] = site_value_[id.index()] ? V3::k1 : V3::k0;
+  Pair evaluate(std::uint32_t g) const {
+    const std::int32_t site = site_pin_[g];
+    Pair v;
+    if (is_source(g)) {
+      v = pair_of(assign_[line_pos_[g]]);
+    } else {
+      v = site >= 0 ? combine<true>(g) : combine<false>(g);
     }
+    if (site == kStem) v = static_cast<Pair>((v & kGoodBits) | site_force_[g]);
+    return v;
   }
 
-  V3 eval3(const Gate& g, const std::vector<V3>& values,
-           std::int32_t forced_pin, bool forced_value) const {
-    auto in = [&](std::size_t p) -> V3 {
-      if (static_cast<std::int32_t>(p) == forced_pin) {
-        return forced_value ? V3::k1 : V3::k0;
+  /// The pair on pin `p` of gate `g`.  At an input-pin fault site the
+  /// faulted pin's faulty side reads the stuck value.
+  template <bool kPinSite>
+  Pair pin_value(std::uint32_t g, std::uint32_t p) const {
+    const Pair v = val_[fanin_of(g, p)];
+    if constexpr (kPinSite) {
+      if (static_cast<std::int32_t>(p) == site_pin_[g]) {
+        return static_cast<Pair>((v & kGoodBits) | site_force_[g]);
       }
-      return values[g.fanin[p].index()];
-    };
-    switch (g.kind) {
+    }
+    return v;
+  }
+
+  template <bool kPinSite>
+  Pair combine(std::uint32_t g) const {
+    const GateKind kind = kind_[g];
+    switch (kind) {
       case GateKind::kConst0:
-        return V3::k0;
+        return kIsZero;
       case GateKind::kConst1:
-        return V3::k1;
+        return kIsOne;
       case GateKind::kBuf:
-        return in(0);
+        return pin_value<kPinSite>(g, 0);
       case GateKind::kNot:
-        return v3_not(in(0));
+        return invert(pin_value<kPinSite>(g, 0));
+      case GateKind::kXor:
+        return exclusive_or(pin_value<kPinSite>(g, 0),
+                            pin_value<kPinSite>(g, 1));
+      case GateKind::kXnor:
+        return invert(exclusive_or(pin_value<kPinSite>(g, 0),
+                                   pin_value<kPinSite>(g, 1)));
       case GateKind::kAnd:
-      case GateKind::kNand: {
-        V3 v = V3::k1;
-        for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v3_and(v, in(p));
-        return g.kind == GateKind::kNand ? v3_not(v) : v;
-      }
+      case GateKind::kNand:
       case GateKind::kOr:
       case GateKind::kNor: {
-        V3 v = V3::k0;
-        for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v3_or(v, in(p));
-        return g.kind == GateKind::kNor ? v3_not(v) : v;
+        Pair all = kAllBits;
+        Pair any = 0;
+        const std::uint32_t n = fanin_begin_[g + 1] - fanin_begin_[g];
+        for (std::uint32_t p = 0; p < n; ++p) {
+          const Pair v = pin_value<kPinSite>(g, p);
+          all &= v;
+          any |= v;
+        }
+        const bool is_and = kind == GateKind::kAnd || kind == GateKind::kNand;
+        const Pair out = is_and ? (all & kIsOne) | (any & kIsZero)
+                                : (any & kIsOne) | (all & kIsZero);
+        return kind == GateKind::kNand || kind == GateKind::kNor ? invert(out)
+                                                                 : out;
       }
-      case GateKind::kXor:
-        return v3_xor(in(0), in(1));
-      case GateKind::kXnor:
-        return v3_not(v3_xor(in(0), in(1)));
       default:
-        return V3::kX;
+        return 0;
     }
+  }
+
+  /// Keep d_gates_ equal to the set of lines carrying a D.
+  void track_d(std::uint32_t g, bool now_d) {
+    if (now_d) {
+      d_slot_[g] = static_cast<std::int32_t>(d_gates_.size());
+      d_gates_.push_back(g);
+    } else {
+      const std::uint32_t last = d_gates_.back();
+      d_gates_[d_slot_[g]] = last;
+      d_slot_[last] = d_slot_[g];
+      d_gates_.pop_back();
+      d_slot_[g] = kNotD;
+    }
+    if (observable_[g]) observed_d_ = now_d ? observed_d_ + 1 : observed_d_ - 1;
   }
 
   /// The good-side value a site's line must take to excite that site.
@@ -225,17 +372,18 @@ class Podem {
 
   /// The good-circuit line whose value excites a site: the gate itself
   /// for stem faults, the driving gate for pin faults.
-  GateId excitation_line(const Fault& f) const {
-    if (f.pin < 0) return f.gate;
-    return netlist_.gate(f.gate).fanin[f.pin];
+  std::uint32_t excitation_line(const Fault& f) const {
+    if (f.pin < 0) return f.gate.index();
+    return fanin_of(f.gate.index(), static_cast<std::uint32_t>(f.pin));
   }
+
+  V3 good(std::uint32_t g) const { return good_of(val_[g]); }
+  bool is_x(std::uint32_t g) const { return either_x(val_[g]); }
 
   /// Some site is excited (the fault effect originates somewhere).
   bool excited() const {
     for (const Fault& f : faults_) {
-      if (good_[excitation_line(f).index()] == required_site_value(f)) {
-        return true;
-      }
+      if (good(excitation_line(f)) == required_site_value(f)) return true;
     }
     return false;
   }
@@ -244,130 +392,92 @@ class Podem {
   /// exists down this branch.
   bool conflict() const {
     for (const Fault& f : faults_) {
-      if (good_[excitation_line(f).index()] !=
-          v3_not(required_site_value(f))) {
-        return false;
-      }
+      const V3 stuck = f.stuck_at ? V3::k1 : V3::k0;
+      if (good(excitation_line(f)) != stuck) return false;
     }
     return true;
   }
 
-  bool is_d(GateId id) const {
-    const V3 g = good_[id.index()];
-    const V3 f = faulty_[id.index()];
-    return g != V3::kX && f != V3::kX && g != f;
-  }
-
-  /// A line is still assignable/propagatable when either side is unknown.
-  /// (Inside the fault cone the two sides diverge: a line can be known
-  /// good but X faulty — e.g. AND(fault-site, unassigned) — and the
-  /// objective machinery must still drive the unassigned support.)
-  bool is_x(GateId id) const {
-    return good_[id.index()] == V3::kX || faulty_[id.index()] == V3::kX;
-  }
-
-  bool detected() const {
-    return std::any_of(observe_.begin(), observe_.end(),
-                       [this](GateId id) { return is_d(id); });
-  }
+  bool detected() const { return observed_d_ > 0; }
 
   /// An excited input-pin fault puts the D on the pin itself rather than on
   /// any circuit line, so the fault gate must join the D-frontier directly.
-  void pending_pin_sites(std::vector<GateId>& out) const {
+  bool pending_pin_site(const Fault& f) const {
+    return f.pin >= 0 &&
+           good(excitation_line(f)) == required_site_value(f) &&
+           is_x(f.gate.index());
+  }
+
+  /// The D-frontier gate the objective advances: the frontier is the
+  /// pending pin sites in fault order followed by the gates, in
+  /// topological order, that are X on either side and read a D; the
+  /// first gate with the smallest distance to observation wins.
+  /// Returns false on an empty frontier.
+  bool frontier_choice(std::uint32_t& chosen) const {
+    bool found = false;
+    bool chosen_pending = false;
     for (const Fault& f : faults_) {
-      if (f.pin < 0) continue;
-      if (good_[excitation_line(f).index()] != required_site_value(f)) {
-        continue;
-      }
-      if (good_[f.gate.index()] == V3::kX ||
-          faulty_[f.gate.index()] == V3::kX) {
-        out.push_back(f.gate);
+      if (!pending_pin_site(f)) continue;
+      const std::uint32_t g = f.gate.index();
+      if (!found || obs_dist_[g] < obs_dist_[chosen]) {
+        chosen = g;
+        found = true;
+        chosen_pending = true;
       }
     }
-  }
-
-  bool pin_fault_pending() const {
-    std::vector<GateId> pending;
-    pending_pin_sites(pending);
-    return !pending.empty();
-  }
-
-  /// D-frontier: gates whose output is X on either side but with a D on
-  /// some input (plus fault gates with excited pin faults).
-  std::vector<GateId> d_frontier() const {
-    std::vector<GateId> frontier;
-    pending_pin_sites(frontier);
-    for (GateId id : netlist_.topo_order()) {
-      const Gate& g = netlist_.gate(id);
-      if (g.kind == GateKind::kInput || g.kind == GateKind::kDff) continue;
-      if (good_[id.index()] != V3::kX && faulty_[id.index()] != V3::kX) {
-        continue;
-      }
-      for (GateId f : g.fanin) {
-        if (is_d(f)) {
-          frontier.push_back(id);
-          break;
+    for (const std::uint32_t d : d_gates_) {
+      for (std::uint32_t k = fanout_begin_[d]; k < fanout_begin_[d + 1]; ++k) {
+        const std::uint32_t g = fanout_[k];
+        if (!is_x(g)) continue;
+        if (!found || obs_dist_[g] < obs_dist_[chosen] ||
+            (obs_dist_[g] == obs_dist_[chosen] && !chosen_pending &&
+             topo_pos_[g] < topo_pos_[chosen])) {
+          chosen = g;
+          found = true;
+          chosen_pending = false;
         }
       }
     }
-    return frontier;
+    return found;
   }
 
   /// Does any D still have a potential sensitized path to an observe point
   /// through X gates?
-  bool x_path_exists() const {
+  bool x_path_exists() {
     if (!excited()) return true;  // excitation itself is still pending
     if (detected()) return true;
-    std::vector<char> seen(netlist_.gate_count(), 0);
-    std::vector<GateId> queue;
-    {
-      std::vector<GateId> pending;
-      pending_pin_sites(pending);
-      for (GateId id : pending) {
-        if (!seen[id.index()]) {
-          queue.push_back(id);
-          seen[id.index()] = 1;
-        }
-      }
+    ++stamp_;
+    queue_.clear();
+    auto enqueue = [this](std::uint32_t g) {
+      if (seen_[g] == stamp_) return;
+      seen_[g] = stamp_;
+      queue_.push_back(g);
+    };
+    for (const Fault& f : faults_) {
+      if (pending_pin_site(f)) enqueue(f.gate.index());
     }
-    for (GateId id : netlist_.topo_order()) {
-      if (is_d(id)) {
-        queue.push_back(id);
-        seen[id.index()] = 1;
-      }
-    }
-    const auto& fanouts = netlist_.fanouts();
-    std::vector<char> observable(netlist_.gate_count(), 0);
-    for (GateId id : observe_) observable[id.index()] = 1;
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      const GateId id = queue[head];
-      if (observable[id.index()]) return true;
-      for (GateId next : fanouts[id.index()]) {
-        if (seen[next.index()]) continue;
-        const Gate& g = netlist_.gate(next);
-        if (g.kind == GateKind::kDff) continue;
+    for (const std::uint32_t d : d_gates_) enqueue(d);
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const std::uint32_t g = queue_[head];
+      if (observable_[g]) return true;
+      for (std::uint32_t k = fanout_begin_[g]; k < fanout_begin_[g + 1]; ++k) {
         // A gate can still pass the effect only if its output is X on some
         // side (otherwise it is already decided).
-        if (good_[next.index()] != V3::kX &&
-            faulty_[next.index()] != V3::kX) {
-          continue;
-        }
-        seen[next.index()] = 1;
-        queue.push_back(next);
+        if (is_x(fanout_[k])) enqueue(fanout_[k]);
       }
     }
     return false;
   }
 
   /// Pick the next objective (line, value).  Returns false when stuck.
-  bool next_objective(std::int32_t& out_pos, bool& out_value) {
-    GateId line;
+  bool next_objective(std::int32_t& out_pos, bool& out_value) const {
+    std::uint32_t line = 0;
     bool value = false;
     if (!excited()) {
       bool found = false;
       for (const Fault& f : faults_) {
-        const GateId candidate = excitation_line(f);
-        if (good_[candidate.index()] == V3::kX) {
+        const std::uint32_t candidate = excitation_line(f);
+        if (good(candidate) == V3::kX) {
           line = candidate;
           value = required_site_value(f) == V3::k1;
           found = true;
@@ -376,25 +486,19 @@ class Podem {
       }
       if (!found) return false;
     } else {
-      auto frontier = d_frontier();
-      if (frontier.empty()) return false;
-      GateId chosen = frontier.front();
-      for (GateId cand : frontier) {
-        if (obs_dist_[cand.index()] < obs_dist_[chosen.index()]) {
-          chosen = cand;
-        }
-      }
-      const Gate& g = netlist_.gate(chosen);
+      std::uint32_t chosen = 0;
+      if (!frontier_choice(chosen)) return false;
       std::int32_t x_pin = -1;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) {
-        if (is_x(g.fanin[p])) {
-          x_pin = static_cast<std::int32_t>(p);
+      for (std::uint32_t p = fanin_begin_[chosen]; p < fanin_begin_[chosen + 1];
+           ++p) {
+        if (is_x(fanin_[p])) {
+          x_pin = static_cast<std::int32_t>(p - fanin_begin_[chosen]);
           break;
         }
       }
       if (x_pin < 0) return false;
-      line = g.fanin[x_pin];
-      switch (g.kind) {
+      line = fanin_of(chosen, static_cast<std::uint32_t>(x_pin));
+      switch (kind_[chosen]) {
         case GateKind::kAnd:
         case GateKind::kNand:
           value = true;  // non-controlling
@@ -412,27 +516,29 @@ class Podem {
   }
 
   /// Walk the objective back to an unassigned input line.
-  bool backtrace(GateId line, bool value, std::int32_t& out_pos,
+  bool backtrace(std::uint32_t line, bool value, std::int32_t& out_pos,
                  bool& out_value) const {
-    for (unsigned guard = 0; guard < netlist_.gate_count() + 1; ++guard) {
-      const std::int32_t pos = line_pos_[line.index()];
+    for (std::size_t guard = 0; guard < kind_.size() + 1; ++guard) {
+      const std::int32_t pos = line_pos_[line];
       if (pos >= 0) {
         if (assign_[pos] != V3::kX) return false;  // already decided
         out_pos = pos;
         out_value = value;
         return true;
       }
-      const Gate& g = netlist_.gate(line);
-      std::int32_t x_pin = -1;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) {
-        if (!is_x(g.fanin[p])) continue;
-        if (x_pin < 0 ||
-            depth_[g.fanin[p].index()] < depth_[g.fanin[x_pin].index()]) {
-          x_pin = static_cast<std::int32_t>(p);
+      std::uint32_t next = 0;
+      bool found = false;
+      for (std::uint32_t p = fanin_begin_[line]; p < fanin_begin_[line + 1];
+           ++p) {
+        const std::uint32_t f = fanin_[p];
+        if (!is_x(f)) continue;
+        if (!found || depth_[f] < depth_[next]) {
+          next = f;
+          found = true;
         }
       }
-      if (x_pin < 0) return false;
-      switch (g.kind) {
+      if (!found) return false;
+      switch (kind_[line]) {
         case GateKind::kNot:
         case GateKind::kNand:
         case GateKind::kNor:
@@ -442,21 +548,29 @@ class Podem {
         default:
           break;  // AND/OR/BUF/XOR keep parity
       }
-      line = g.fanin[x_pin];
+      line = next;
     }
     return false;
   }
 
+  PodemResult finish(PodemResult::Outcome outcome) const {
+    PodemResult result;
+    result.outcome = outcome;
+    result.backtracks = backtracks_;
+    result.implications = implications_;
+    result.gate_evals = gate_evals_;
+    return result;
+  }
+
   void fill_pattern(PodemResult& result) const {
-    const std::size_t n_pi = netlist_.inputs().size();
-    const std::size_t n_ppi = netlist_.dffs().size();
-    result.pattern.pi = util::BitVector(n_pi);
+    const std::size_t n_ppi = lines_.size() - n_pi_;
+    result.pattern.pi = util::BitVector(n_pi_);
     result.pattern.ppi = util::BitVector(n_ppi);
-    result.pi_dont_care.assign(n_pi, false);
+    result.pi_dont_care.assign(n_pi_, false);
     result.ppi_dont_care.assign(n_ppi, false);
     for (std::size_t i = 0; i < lines_.size(); ++i) {
-      const bool is_pi = i < n_pi;
-      const std::size_t k = is_pi ? i : i - n_pi;
+      const bool is_pi = i < n_pi_;
+      const std::size_t k = is_pi ? i : i - n_pi_;
       if (assign_[i] == V3::kX) {
         (is_pi ? result.pi_dont_care : result.ppi_dont_care)[k] = true;
       } else if (assign_[i] == V3::k1) {
@@ -465,23 +579,62 @@ class Podem {
     }
   }
 
+  static constexpr std::int32_t kStem = -1;
   static constexpr std::int32_t kNoFault = -2;
+  static constexpr std::int32_t kNotD = -1;
 
-  const gate::GateNetlist& netlist_;
   const std::vector<Fault> faults_;
   const PodemOptions options_;
-  std::vector<std::int32_t> site_pin_;   ///< kNoFault / -1 stem / pin index
-  std::vector<std::uint8_t> site_value_;
 
-  std::vector<GateId> lines_;
-  std::vector<std::int32_t> line_pos_;
-  std::vector<V3> assign_;
-  std::vector<V3> good_;
-  std::vector<V3> faulty_;
-  std::vector<GateId> observe_;
+  // Flat netlist view.
+  std::vector<GateKind> kind_;
+  std::vector<std::uint32_t> fanin_begin_;
+  std::vector<std::uint32_t> fanin_;
+  std::vector<std::uint32_t> fanout_begin_;
+  std::vector<std::uint32_t> fanout_;  ///< combinational sinks only
+  std::vector<std::uint32_t> topo_pos_;
+  std::vector<std::uint8_t> observable_;  ///< PO or DFF D driver
   std::vector<unsigned> obs_dist_;
   std::vector<unsigned> depth_;
+
+  std::vector<std::int32_t> site_pin_;  ///< kNoFault / kStem / pin index
+  std::vector<Pair> site_force_;        ///< faulty bits of the stuck value
+
+  std::vector<std::uint32_t> lines_;  ///< decision lines: PIs then PPIs
+  std::vector<std::int32_t> line_pos_;
+  std::size_t n_pi_ = 0;
+  std::vector<V3> assign_;
+  std::vector<Pair> val_;
+
+  // Implication queue: one slice of level_slots_ per level, each gate
+  // queued at most once.
+  std::vector<std::uint32_t> level_begin_;
+  std::vector<std::uint32_t> level_size_;
+  std::vector<std::uint32_t> level_slots_;
+  std::vector<std::uint8_t> queued_;
+  unsigned top_level_ = 0;
+
+  // Every value change since the all-X pass, as (line, previous pair).
+  struct Change {
+    std::uint32_t line;
+    Pair prev;
+  };
+  std::vector<Change> trail_;
+
+  // The lines carrying a D, with each one's slot in d_gates_.
+  std::vector<std::uint32_t> d_gates_;
+  std::vector<std::int32_t> d_slot_;
+  std::size_t observed_d_ = 0;
+
+  // Stamped X-path scratch: seen_[g] == stamp_ marks g visited (64-bit,
+  // so the stamp never wraps onto a stale mark).
+  std::vector<std::uint64_t> seen_;
+  std::uint64_t stamp_ = 0;
+  std::vector<std::uint32_t> queue_;
+
   unsigned backtracks_ = 0;
+  unsigned implications_ = 0;
+  std::uint64_t gate_evals_ = 0;
 };
 
 }  // namespace

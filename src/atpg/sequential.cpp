@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "socet/obs/metrics.hpp"
+
 namespace socet::atpg {
 
 namespace {
@@ -142,6 +144,8 @@ SeqAtpgResult sequential_atpg(const gate::GateNetlist& netlist,
       const auto sites = map_fault(unrolled, result.faults[fi]);
       if (sites.empty()) continue;  // fault site vanished (reset constant)
       PodemResult pr = podem_multi(unrolled.netlist, sites, podem_options);
+      SOCET_COUNT_N("atpg/implications", pr.implications);
+      SOCET_COUNT_N("atpg/imply_gate_evals", pr.gate_evals);
       if (pr.outcome != PodemResult::Outcome::kFound) continue;
 
       // Decode the per-frame input assignment into a cycle sequence.

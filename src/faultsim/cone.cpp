@@ -1,6 +1,7 @@
 #include "socet/faultsim/cone.hpp"
 
 #include <algorithm>
+#include <bit>
 
 namespace socet::faultsim {
 
@@ -12,7 +13,8 @@ ConeCache::ConeCache(const gate::GateNetlist& netlist)
       cones_(netlist.gate_count()),
       built_(new std::atomic<unsigned char>[netlist.gate_count()]),
       topo_pos_(netlist.gate_count(), 0),
-      seen_stamp_(netlist.gate_count(), 0) {
+      seen_stamp_(netlist.gate_count(), 0),
+      order_bits_((netlist.gate_count() + 63) / 64, 0) {
   for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
     built_[i].store(0, std::memory_order_relaxed);
   }
@@ -54,9 +56,25 @@ void ConeCache::build_locked(GateId id) {
       cone.push_back(next);
     }
   }
-  std::sort(cone.begin(), cone.end(), [this](GateId a, GateId b) {
-    return topo_pos_[a.index()] < topo_pos_[b.index()];
-  });
+  // Topological order without a sort: mark every hit's topological
+  // position in the bitmap, then walk the set bits in order, clearing
+  // each word as it is read so the bitmap is all-zero for the next build.
+  std::size_t lo = order_bits_.size();
+  std::size_t hi = 0;
+  for (GateId g : cone) {
+    const std::uint32_t pos = topo_pos_[g.index()];
+    order_bits_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
+    lo = std::min<std::size_t>(lo, pos >> 6);
+    hi = std::max<std::size_t>(hi, pos >> 6);
+  }
+  const auto& order = netlist_.topo_order();
+  std::size_t out = 0;
+  for (std::size_t w = lo; w <= hi; ++w) {
+    for (std::uint64_t bits = order_bits_[w]; bits != 0; bits &= bits - 1) {
+      cone[out++] = order[(w << 6) + std::countr_zero(bits)];
+    }
+    order_bits_[w] = 0;
+  }
   cones_[id.index()] = std::move(cone);
   built_cones_.fetch_add(1, std::memory_order_relaxed);
   built_[id.index()].store(1, std::memory_order_release);

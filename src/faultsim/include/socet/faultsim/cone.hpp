@@ -6,7 +6,8 @@
 // engines all borrow one ConeCache built over the shared read-only
 // netlist.  Lookups of built cones are lock-free (an acquire load of the
 // per-gate built flag); a miss builds the cone under a mutex with a
-// stamped BFS scratch that is allocated once, not per cone.
+// stamped BFS scratch that is allocated once, not per cone, and orders
+// it through a topological-position bitmap instead of a sort.
 #pragma once
 
 #include <atomic>
@@ -62,6 +63,9 @@ class ConeCache {
   /// gate_count-sized vector is allocated or cleared per cone.
   std::vector<std::uint64_t> seen_stamp_;
   std::uint64_t bfs_stamp_ = 0;
+  /// Topological-position bitmap (guarded by build_mutex_) that orders a
+  /// cone's BFS hits; all-zero between builds.
+  std::vector<std::uint64_t> order_bits_;
   std::atomic<std::size_t> built_cones_{0};
 };
 

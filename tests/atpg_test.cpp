@@ -1,9 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+
+#include "podem_reference.hpp"
 #include "socet/atpg/atpg.hpp"
 #include "socet/atpg/podem.hpp"
+#include "socet/atpg/sequential.hpp"
 #include "socet/rtl/netlist.hpp"
 #include "socet/synth/elaborate.hpp"
+#include "socet/systems/systems.hpp"
+#include "socet/util/rng.hpp"
 
 namespace socet::atpg {
 namespace {
@@ -119,6 +126,225 @@ TEST(Podem, XorChainParityCircuit) {
     EXPECT_EQ(r.outcome, PodemResult::Outcome::kFound)
         << describe_fault(n, f);
   }
+}
+
+// --------------------------------------- differential oracle (full sweep)
+
+/// Both engines must reach the same verdict by the same search: same
+/// outcome, pattern bits, don't-care vectors and backtrack count.
+void expect_same_search(const PodemResult& got, const PodemResult& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.outcome, want.outcome) << what;
+  EXPECT_EQ(got.backtracks, want.backtracks) << what;
+  EXPECT_EQ(got.pattern.pi, want.pattern.pi) << what;
+  EXPECT_EQ(got.pattern.ppi, want.pattern.ppi) << what;
+  EXPECT_EQ(got.pi_dont_care, want.pi_dont_care) << what;
+  EXPECT_EQ(got.ppi_dont_care, want.ppi_dont_care) << what;
+}
+
+/// Compares both engines on every fault of `n`; returns how many calls
+/// ended in each outcome.
+std::array<unsigned, 3> expect_same_search_on_every_fault(
+    const GateNetlist& n, const PodemOptions& options,
+    const std::string& label) {
+  std::array<unsigned, 3> outcomes{};
+  for (const Fault& f : faultsim::enumerate_faults(n)) {
+    const PodemResult got = podem(n, f, options);
+    expect_same_search(got, reference::podem(n, f, options),
+                       label + " " + describe_fault(n, f));
+    ++outcomes[static_cast<std::size_t>(got.outcome)];
+  }
+  return outcomes;
+}
+
+/// Random combinational logic over PIs and flip-flop outputs (PPIs):
+/// every gate kind, 1- to 4-input AND/OR families, constants, and DFF D
+/// pins driven from the logic so some faults are observed only there.
+GateNetlist make_random_logic(std::uint64_t seed, unsigned inputs,
+                              unsigned dffs, unsigned gates) {
+  util::Rng rng(seed);
+  GateNetlist n("rand");
+  std::vector<GateId> pool;
+  for (unsigned i = 0; i < inputs; ++i) pool.push_back(n.add_input("i"));
+  std::vector<GateId> flops;
+  for (unsigned i = 0; i < dffs; ++i) {
+    flops.push_back(n.add_dff_floating("q"));
+    pool.push_back(flops.back());
+  }
+  pool.push_back(n.add_gate(GateKind::kConst1, {}, "one"));
+  static constexpr GateKind kinds[] = {
+      GateKind::kAnd, GateKind::kOr,  GateKind::kNand, GateKind::kNor,
+      GateKind::kXor, GateKind::kXnor, GateKind::kNot, GateKind::kBuf};
+  for (unsigned g = 0; g < gates; ++g) {
+    const GateKind kind = kinds[rng.next_below(8)];
+    std::size_t arity = 2;
+    if (kind == GateKind::kNot || kind == GateKind::kBuf) {
+      arity = 1;
+    } else if (kind != GateKind::kXor && kind != GateKind::kXnor) {
+      arity = 2 + rng.next_below(3);
+    }
+    std::vector<GateId> fanin;
+    while (fanin.size() < arity) {
+      const GateId pick = pool[rng.next_below(pool.size())];
+      if (std::find(fanin.begin(), fanin.end(), pick) == fanin.end()) {
+        fanin.push_back(pick);
+      } else if (arity > pool.size()) {
+        break;
+      }
+    }
+    if (fanin.size() < arity) continue;
+    pool.push_back(n.add_gate(kind, std::move(fanin)));
+  }
+  for (GateId q : flops) {
+    n.set_dff_input(q, pool[pool.size() - 1 - rng.next_below(gates / 2)]);
+  }
+  for (unsigned o = 0; o < 3; ++o) n.mark_output(pool[pool.size() - 1 - o]);
+  return n;
+}
+
+TEST(PodemOracle, RandomCircuitsMatchFullSweepOnEveryFault) {
+  std::array<unsigned, 3> outcomes{};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    const auto n = make_random_logic(seed, 6 + seed % 4, seed % 3, 50);
+    for (const unsigned limit : {4u, 512u}) {
+      const auto counts = expect_same_search_on_every_fault(
+          n, {.backtrack_limit = limit},
+          "seed " + std::to_string(seed) + " limit " + std::to_string(limit));
+      for (std::size_t k = 0; k < 3; ++k) outcomes[k] += counts[k];
+    }
+  }
+  // The family exercises found, untestable and aborted searches alike.
+  EXPECT_GT(outcomes[0], 0u);
+  EXPECT_GT(outcomes[1], 0u);
+  EXPECT_GT(outcomes[2], 0u);
+}
+
+TEST(PodemOracle, HandBuiltCircuitsMatchFullSweepOnEveryFault) {
+  // The circuits of the Podem.* tests above.
+  std::vector<GateNetlist> circuits;
+  {
+    GateNetlist n("and2");
+    auto a = n.add_input("a");
+    auto b = n.add_input("b");
+    n.mark_output(n.add_gate(GateKind::kAnd, {a, b}, "z"));
+    circuits.push_back(std::move(n));
+  }
+  {
+    GateNetlist n("rc");
+    auto a = n.add_input("a");
+    auto b = n.add_input("b");
+    auto c = n.add_input("c");
+    auto g1 = n.add_gate(GateKind::kAnd, {a, b}, "g1");
+    auto g2 = n.add_gate(GateKind::kAnd, {a, c}, "g2");
+    n.mark_output(n.add_gate(GateKind::kOr, {g1, g2}, "z"));
+    circuits.push_back(std::move(n));
+  }
+  {
+    GateNetlist n("red");
+    auto a = n.add_input("a");
+    auto b = n.add_input("b");
+    auto g1 = n.add_gate(GateKind::kAnd, {a, b}, "g1");
+    n.mark_output(n.add_gate(GateKind::kOr, {a, g1}, "z"));
+    circuits.push_back(std::move(n));
+  }
+  {
+    GateNetlist n("pin");
+    auto a = n.add_input("a");
+    auto b = n.add_input("b");
+    n.mark_output(n.add_gate(GateKind::kXor, {a, b}, "z"));
+    circuits.push_back(std::move(n));
+  }
+  {
+    GateNetlist n("ff");
+    auto d = n.add_dff_floating("q");
+    auto a = n.add_input("a");
+    auto z = n.add_gate(GateKind::kAnd, {a, d}, "z");
+    n.set_dff_input(d, z);
+    n.mark_output(z);
+    circuits.push_back(std::move(n));
+  }
+  {
+    GateNetlist n("ppo");
+    auto a = n.add_input("a");
+    auto b = n.add_input("b");
+    auto g = n.add_gate(GateKind::kOr, {a, b}, "g");
+    n.set_dff_input(n.add_dff_floating("q"), g);
+    circuits.push_back(std::move(n));
+  }
+  {
+    GateNetlist n("parity");
+    GateId acc = n.add_input("i");
+    for (int i = 1; i < 6; ++i) {
+      acc = n.add_gate(GateKind::kXor, {acc, n.add_input("i")}, "x");
+    }
+    n.mark_output(acc);
+    circuits.push_back(std::move(n));
+  }
+  for (const GateNetlist& n : circuits) {
+    expect_same_search_on_every_fault(n, {}, n.name());
+  }
+}
+
+TEST(PodemOracle, PendingPinSiteWinsFrontierTie) {
+  // a=1 excites both sites: a D on stem a reaches g1 and g2, and g2's
+  // own pin fault is pending.  g1 and g2 tie on distance to observation
+  // and g1 is topologically first, but pending pin sites lead the
+  // frontier, so the objective drives g2's side input y, not x.
+  GateNetlist n("tie");
+  auto a = n.add_input("a");
+  auto x = n.add_input("x");
+  auto y = n.add_input("y");
+  auto g2 = n.add_gate(GateKind::kAnd, {a, y}, "g2");
+  auto g1 = n.add_gate(GateKind::kAnd, {a, x}, "g1");
+  n.mark_output(g1);
+  n.mark_output(g2);
+  const auto& order = n.topo_order();
+  ASSERT_LT(std::find(order.begin(), order.end(), g1),
+            std::find(order.begin(), order.end(), g2));
+  const std::vector<Fault> sites{Fault{a, -1, false}, Fault{g2, 0, false}};
+  const auto r = podem_multi(n, sites);
+  expect_same_search(r, reference::podem_multi(n, sites), "tie");
+  ASSERT_EQ(r.outcome, PodemResult::Outcome::kFound);
+  EXPECT_TRUE(r.pattern.pi.get(2));
+  EXPECT_TRUE(r.pi_dont_care[1]);
+}
+
+TEST(PodemOracle, UnrolledGcdMultiSiteMatchesFullSweep) {
+  const auto elab = synth::elaborate(systems::make_gcd_rtl());
+  const UnrolledCircuit unrolled = unroll(elab.gates, 3);
+  const auto faults = faultsim::enumerate_faults(elab.gates);
+  const PodemOptions options{.backtrack_limit = 64};
+  unsigned compared = 0;
+  for (std::size_t fi = 0; fi < faults.size(); fi += 23) {
+    const auto sites = map_fault(unrolled, faults[fi]);
+    if (sites.empty()) continue;
+    expect_same_search(podem_multi(unrolled.netlist, sites, options),
+                       reference::podem_multi(unrolled.netlist, sites, options),
+                       describe_fault(elab.gates, faults[fi]));
+    ++compared;
+  }
+  EXPECT_GT(compared, 20u);
+}
+
+TEST(PodemCounters, ImplicationIsEventDrivenOnSystem1Core) {
+  // The first implication of a call evaluates every gate; an event-driven
+  // engine re-evaluates only the fanout of what changed afterwards, so a
+  // call averages fewer than gate_count evaluations per implication.
+  auto system = systems::make_barcode_system();
+  const auto elab = synth::elaborate(system.core_named("DISPLAY").netlist());
+  const std::uint64_t gates = elab.gates.gate_count();
+  const auto faults = faultsim::enumerate_faults(elab.gates);
+  std::uint64_t implications = 0;
+  std::uint64_t gate_evals = 0;
+  for (std::size_t fi = 0; fi < faults.size(); fi += 97) {
+    const PodemResult r = podem(elab.gates, faults[fi]);
+    EXPECT_GE(r.implications, 1u);
+    EXPECT_GE(r.gate_evals, gates);  // the all-X pass visits every gate
+    implications += r.implications;
+    gate_evals += r.gate_evals;
+  }
+  EXPECT_GT(implications, faults.size() / 97 + 1);
+  EXPECT_LT(gate_evals, implications * gates);
 }
 
 // ------------------------------------------------------------- ATPG driver

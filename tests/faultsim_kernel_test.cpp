@@ -3,9 +3,11 @@
 // stamps, and the sequential simulator's pin-fault handling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "socet/faultsim/block_engine.hpp"
+#include "socet/faultsim/cone.hpp"
 #include "socet/faultsim/faults.hpp"
 #include "socet/faultsim/parallel_sim.hpp"
 #include "socet/faultsim/scan_sim.hpp"
@@ -252,6 +254,43 @@ TEST(KernelOracle, SharedConeCacheServesAllWorkers) {
   std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
   sim.run(faults, patterns, statuses);
   EXPECT_EQ(statuses, reference_statuses(n, faults, patterns));
+}
+
+/// Fanout cone by BFS and a sort on topological position: the ordering
+/// ConeCache used before it walked a position bitmap instead.
+std::vector<GateId> sorted_bfs_cone(const GateNetlist& n, GateId id) {
+  std::vector<std::uint32_t> pos(n.gate_count());
+  for (std::size_t i = 0; i < n.topo_order().size(); ++i) {
+    pos[n.topo_order()[i].index()] = static_cast<std::uint32_t>(i);
+  }
+  std::vector<char> seen(n.gate_count(), 0);
+  std::vector<GateId> cone{id};
+  seen[id.index()] = 1;
+  for (std::size_t head = 0; head < cone.size(); ++head) {
+    if (n.gate(cone[head]).kind == GateKind::kDff && head != 0) continue;
+    for (GateId next : n.fanouts()[cone[head].index()]) {
+      if (seen[next.index()] || n.gate(next).kind == GateKind::kDff) continue;
+      seen[next.index()] = 1;
+      cone.push_back(next);
+    }
+  }
+  std::sort(cone.begin(), cone.end(), [&](GateId a, GateId b) {
+    return pos[a.index()] < pos[b.index()];
+  });
+  return cone;
+}
+
+TEST(KernelOracle, ConeCacheMatchesSortedBfsElementForElement) {
+  Rng rng(29);
+  for (const std::size_t gates : {20u, 150u, 400u}) {
+    const auto n = make_random_netlist(rng, 7, 5, gates);
+    ConeCache cache(n);
+    for (std::size_t g = 0; g < n.gate_count(); ++g) {
+      const GateId id(static_cast<GateId::value_type>(g));
+      EXPECT_EQ(cache.of(id), sorted_bfs_cone(n, id))
+          << gates << " gates, cone of gate " << g;
+    }
+  }
 }
 
 // The seed simulator kept its scratch-epoch counter in a uint32_t.  Once

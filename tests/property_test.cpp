@@ -235,8 +235,17 @@ gate::GateNetlist make_random_gates(std::uint64_t seed, unsigned inputs,
 
 TEST_P(SeededProperty, PodemPatternsVerifiedByFaultSim) {
   auto n = make_random_gates(GetParam(), 8, 60);
+  ASSERT_TRUE(n.dffs().empty());
   auto faults = faultsim::enumerate_faults(n);
   faultsim::ScanFaultSim sim(n);
+  // 8 PIs and no PPIs: all 2^8 patterns decide testability exactly.
+  std::vector<faultsim::ScanPattern> every_pattern;
+  for (std::uint64_t bits = 0; bits < (1u << n.inputs().size()); ++bits) {
+    faultsim::ScanPattern pattern;
+    pattern.pi = util::BitVector(n.inputs().size(), bits);
+    pattern.ppi = util::BitVector(0);
+    every_pattern.push_back(std::move(pattern));
+  }
   unsigned found = 0;
   unsigned untestable = 0;
   for (std::size_t fi = 0; fi < faults.size() && fi < 120; ++fi) {
@@ -251,19 +260,11 @@ TEST_P(SeededProperty, PodemPatternsVerifiedByFaultSim) {
           << describe_fault(n, faults[fi]) << " seed " << GetParam();
     } else if (result.outcome == atpg::PodemResult::Outcome::kUntestable) {
       ++untestable;
-      // An untestable fault must resist plenty of random patterns.
-      util::Rng rng(GetParam() ^ 0xBADF);
-      std::vector<faultsim::ScanPattern> patterns;
-      for (int p = 0; p < 128; ++p) {
-        faultsim::ScanPattern pattern;
-        pattern.pi = util::BitVector::random(n.inputs().size(), rng);
-        pattern.ppi = util::BitVector(0);
-        patterns.push_back(std::move(pattern));
-      }
+      // An untestable fault must resist every pattern.
       std::vector<faultsim::FaultStatus> statuses(
           faults.size(), faultsim::FaultStatus::kUntestable);
       statuses[fi] = faultsim::FaultStatus::kUndetected;
-      sim.run(faults, patterns, statuses);
+      sim.run(faults, every_pattern, statuses);
       EXPECT_NE(statuses[fi], faultsim::FaultStatus::kDetected)
           << "PODEM called a testable fault redundant: "
           << describe_fault(n, faults[fi]) << " seed " << GetParam();
