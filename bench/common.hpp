@@ -114,34 +114,48 @@ enum class ChipMode {
   kHscanWithTestPin,
 };
 
+/// The flattened chip of `system` in `mode` and the random sequence the
+/// whole-chip sequential fault simulation applies to it.
+struct ChipSequentialInput {
+  synth::Elaboration elab;
+  std::vector<util::BitVector> sequence;
+};
+
+inline ChipSequentialInput chip_sequential_input(
+    const systems::System& system, ChipMode mode, std::size_t cycles = 96,
+    std::uint64_t seed = 11) {
+  auto flat = soc::flatten(*system.soc);
+  ChipSequentialInput input;
+  if (mode == ChipMode::kNoDft) {
+    input.elab = synth::elaborate(flat.chip);
+  } else {
+    input.elab = synth::elaborate_with_scan(
+        flat.chip, flat_scan_options(*system.soc, flat));
+  }
+
+  input.sequence = atpg::random_sequence(input.elab.gates, cycles, seed);
+  if (mode == ChipMode::kHscanUnreachable) {
+    const auto& inputs = input.elab.gates.inputs();
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+      if (input.elab.gates.gate(inputs[i]).name == "ScanEnable") {
+        for (auto& vector : input.sequence) vector.set(i, false);
+      }
+    }
+  }
+  return input;
+}
+
 /// Whole-chip random sequential fault simulation (Table 3's "Orig." and
 /// "HSCAN" rows, plus the scan-enable ablation).
 inline faultsim::CoverageSummary chip_sequential_coverage(
     const systems::System& system, ChipMode mode, std::size_t cycles = 96,
     std::uint64_t seed = 11) {
-  auto flat = soc::flatten(*system.soc);
-  synth::Elaboration elab;
-  if (mode == ChipMode::kNoDft) {
-    elab = synth::elaborate(flat.chip);
-  } else {
-    elab = synth::elaborate_with_scan(flat.chip,
-                                      flat_scan_options(*system.soc, flat));
-  }
-
-  auto sequence = atpg::random_sequence(elab.gates, cycles, seed);
-  if (mode == ChipMode::kHscanUnreachable) {
-    const auto& inputs = elab.gates.inputs();
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      if (elab.gates.gate(inputs[i]).name == "ScanEnable") {
-        for (auto& vector : sequence) vector.set(i, false);
-      }
-    }
-  }
-  auto faults = faultsim::enumerate_faults(elab.gates);
+  const auto input = chip_sequential_input(system, mode, cycles, seed);
+  auto faults = faultsim::enumerate_faults(input.elab.gates);
   std::vector<faultsim::FaultStatus> statuses(faults.size(),
                                               faultsim::FaultStatus::kUndetected);
-  faultsim::SequentialFaultSim sim(elab.gates);
-  sim.run(faults, sequence, statuses);
+  faultsim::SequentialFaultSim sim(input.elab.gates);
+  sim.run(faults, input.sequence, statuses);
   return faultsim::summarize(statuses);
 }
 

@@ -1,237 +1,356 @@
 #include "socet/faultsim/seq_sim.hpp"
 
 #include <algorithm>
+#include <bit>
+
+#include "socet/obs/metrics.hpp"
+#include "socet/obs/trace.hpp"
+#include "socet/util/error.hpp"
 
 namespace socet::faultsim {
 
 namespace {
 
-using gate::Gate;
 using gate::GateId;
 using gate::GateKind;
 
-/// Faults injected on one gate for the current pass.
-struct SiteFaults {
-  /// Machine mask and forced value for output-stem faults.
-  std::uint64_t stem_mask = 0;
-  std::uint64_t stem_value = 0;
-  /// Input-pin faults need per-machine scalar fix-up.
-  struct PinFault {
-    std::uint64_t machine_bit;
-    std::int32_t pin;
-    bool stuck_at;
-  };
-  std::vector<PinFault> pins;
-};
+/// Faulty machines per group: every bit of a word but the good machine's.
+constexpr unsigned kMachines = Lane<8>::kPatterns - 1;
 
-std::uint64_t eval_gate_scalar(const Gate& g, std::uint64_t machine_bit,
-                               const std::vector<std::uint64_t>& values,
-                               std::int32_t forced_pin, bool forced_value) {
-  auto in = [&](std::size_t p) -> bool {
-    if (static_cast<std::int32_t>(p) == forced_pin) return forced_value;
-    return (values[g.fanin[p].index()] & machine_bit) != 0;
-  };
-  bool v = false;
-  switch (g.kind) {
-    case GateKind::kBuf:
-      v = in(0);
-      break;
-    case GateKind::kNot:
-      v = !in(0);
-      break;
-    case GateKind::kAnd:
-    case GateKind::kNand:
-      v = true;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v && in(p);
-      if (g.kind == GateKind::kNand) v = !v;
-      break;
-    case GateKind::kOr:
-    case GateKind::kNor:
-      v = false;
-      for (std::size_t p = 0; p < g.fanin.size(); ++p) v = v || in(p);
-      if (g.kind == GateKind::kNor) v = !v;
-      break;
-    case GateKind::kXor:
-      v = in(0) != in(1);
-      break;
-    case GateKind::kXnor:
-      v = in(0) == in(1);
-      break;
-    default:
-      // Inputs and constants have no input pins, and DFF D-pin faults
-      // are applied at capture, never here.  Returning a value would
-      // silently force the faulty machine to 0 (the seed did exactly
-      // that); fail loudly instead.
-      util::raise(
-          "eval_gate_scalar: pin fault on a gate without evaluable input "
-          "pins (input/constant)");
+/// Calls `f(machine)` for every set bit of `mask`, in ascending order.
+template <typename F>
+void for_each_machine(const Lane<8>& mask, F&& f) {
+  for (unsigned w = 0; w < Lane<8>::kWords; ++w) {
+    for (std::uint64_t bits = mask.w[w]; bits != 0; bits &= bits - 1) {
+      f(64 * w + static_cast<unsigned>(std::countr_zero(bits)));
+    }
   }
-  return v ? machine_bit : 0;
+}
+
+/// The lowest faulty-machine bit clear in `live`, or 0 if there is none.
+unsigned free_machine(const Lane<8>& live) {
+  for (unsigned w = 0; w < Lane<8>::kWords; ++w) {
+    std::uint64_t free = ~live.w[w];
+    if (w == 0) free &= ~1ULL;  // the good machine
+    if (free != 0) {
+      return 64 * w + static_cast<unsigned>(std::countr_zero(free));
+    }
+  }
+  return 0;
+}
+
+unsigned count(const Lane<8>& mask) {
+  unsigned n = 0;
+  for (std::uint64_t word : mask.w) {
+    n += static_cast<unsigned>(std::popcount(word));
+  }
+  return n;
 }
 
 }  // namespace
 
-SequentialFaultSim::SequentialFaultSim(const gate::GateNetlist& netlist)
-    : netlist_(netlist) {}
+/// Up to kMachines faults simulated together.  The combinational values
+/// are recomputed every cycle, so a group owns only its flip-flop state.
+struct SequentialFaultSim::Group {
+  /// A stem fault, or a pin fault on a combinational gate.
+  struct Site {
+    std::uint32_t pos;
+    std::int32_t pin;
+    std::uint16_t machine;
+    bool stuck_at;
+  };
+  /// A DFF D-pin fault: it forces what the flop captures.
+  struct DPin {
+    std::uint32_t slot;
+    std::uint16_t machine;
+    bool stuck_at;
+  };
+
+  std::vector<std::uint32_t> fault;  ///< fault[m]: machine m's fault
+  std::vector<Site> sites;           ///< ascending position
+  std::vector<DPin> d_pins;
+  std::vector<Word> state;           ///< one word per state slot
+  Word live = Word::zero();          ///< machines not yet detected
+  bool reindex = false;              ///< sites lag behind `live`
+};
+
+SequentialFaultSim::SequentialFaultSim(const gate::GateNetlist& netlist) {
+  const auto& order = netlist.topo_order();
+  const std::size_t n = order.size();
+  pos_of_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pos_of_[order[i].index()] = static_cast<std::uint32_t>(i);
+  }
+  kind_.resize(n);
+  fanin_begin_.assign(n + 1, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const gate::Gate& g = netlist.gate(order[i]);
+    kind_[i] = g.kind;
+    for (GateId f : g.fanin) fanin_.push_back(pos_of_[f.index()]);
+    fanin_begin_[i + 1] = static_cast<std::uint32_t>(fanin_.size());
+  }
+  for (GateId id : netlist.inputs()) input_pos_.push_back(pos_of_[id.index()]);
+  for (GateId id : netlist.dffs()) dff_pos_.push_back(pos_of_[id.index()]);
+  std::sort(dff_pos_.begin(), dff_pos_.end());
+  for (std::uint32_t pos : dff_pos_) {
+    d_pos_.push_back(fanin_[fanin_begin_[pos]]);
+  }
+  for (GateId id : netlist.outputs()) po_pos_.push_back(pos_of_[id.index()]);
+  values_.assign(n, Word::zero());
+  pi_.assign(input_pos_.size(), Word::zero());
+}
+
+void SequentialFaultSim::validate(
+    const std::vector<Fault>& faults,
+    const std::vector<util::BitVector>& sequence) const {
+  for (const Fault& f : faults) {
+    util::require(f.gate.index() < pos_of_.size(),
+                  "SequentialFaultSim::run: fault on a gate outside the "
+                  "netlist");
+    if (f.pin < 0) continue;
+    const std::uint32_t pos = pos_of_[f.gate.index()];
+    // Inputs and constants have no input pins; forcing such a machine to
+    // some value would silently invent a fault, so fail loudly instead.
+    if (kind_[pos] == GateKind::kInput || kind_[pos] == GateKind::kConst0 ||
+        kind_[pos] == GateKind::kConst1) {
+      util::raise(
+          "SequentialFaultSim::run: pin fault on a gate without evaluable "
+          "input pins (input/constant)");
+    }
+    const std::uint32_t arity = fanin_begin_[pos + 1] - fanin_begin_[pos];
+    util::require(
+        static_cast<std::uint32_t>(f.pin) < arity,
+        "SequentialFaultSim::run: pin fault on a pin the gate does not have");
+  }
+  for (const auto& vector : sequence) {
+    util::require(vector.width() >= input_pos_.size(),
+                  "SequentialFaultSim::run: vector narrower than the "
+                  "primary inputs");
+  }
+}
+
+void SequentialFaultSim::index_sites(Group& group,
+                                     const std::vector<Fault>& faults) const {
+  group.sites.clear();
+  group.d_pins.clear();
+  for_each_machine(group.live, [&](unsigned m) {
+    const Fault& f = faults[group.fault[m]];
+    const std::uint32_t pos = pos_of_[f.gate.index()];
+    const auto machine = static_cast<std::uint16_t>(m);
+    if (f.pin >= 0 && kind_[pos] == GateKind::kDff) {
+      const auto slot = static_cast<std::uint32_t>(
+          std::lower_bound(dff_pos_.begin(), dff_pos_.end(), pos) -
+          dff_pos_.begin());
+      group.d_pins.push_back({slot, machine, f.stuck_at});
+    } else {
+      group.sites.push_back({pos, f.pin, machine, f.stuck_at});
+    }
+  });
+  std::sort(group.sites.begin(), group.sites.end(),
+            [](const Group::Site& a, const Group::Site& b) {
+              return a.pos < b.pos;
+            });
+}
+
+bool SequentialFaultSim::eval_pin_fault(std::uint32_t pos, unsigned machine,
+                                        std::int32_t pin,
+                                        bool stuck_at) const {
+  const std::uint32_t* fanin = fanin_.data() + fanin_begin_[pos];
+  const std::uint32_t arity = fanin_begin_[pos + 1] - fanin_begin_[pos];
+  auto in = [&](std::uint32_t p) -> bool {
+    if (static_cast<std::int32_t>(p) == pin) return stuck_at;
+    return values_[fanin[p]].bit(machine);
+  };
+  bool v = false;
+  switch (kind_[pos]) {
+    case GateKind::kBuf:
+      return in(0);
+    case GateKind::kNot:
+      return !in(0);
+    case GateKind::kAnd:
+    case GateKind::kNand:
+      v = true;
+      for (std::uint32_t p = 0; p < arity; ++p) v = v && in(p);
+      return kind_[pos] == GateKind::kNand ? !v : v;
+    case GateKind::kOr:
+    case GateKind::kNor:
+      for (std::uint32_t p = 0; p < arity; ++p) v = v || in(p);
+      return kind_[pos] == GateKind::kNor ? !v : v;
+    case GateKind::kXor:
+      return in(0) != in(1);
+    case GateKind::kXnor:
+      return in(0) == in(1);
+    default:
+      // validate() admits pin faults on combinational gates and DFFs
+      // only, and DFF D-pin faults are applied at capture.
+      util::raise("SequentialFaultSim: pin fault on a non-combinational gate");
+  }
+}
+
+SequentialFaultSim::Word SequentialFaultSim::step(Group& group) {
+  Word* v = values_.data();
+  for (std::size_t i = 0; i < input_pos_.size(); ++i) v[input_pos_[i]] = pi_[i];
+  for (std::size_t s = 0; s < dff_pos_.size(); ++s) {
+    v[dff_pos_[s]] = group.state[s];
+  }
+
+  // Levelized sweep over positions [from, to); sources are loaded above.
+  auto settle = [&](std::uint32_t from, std::uint32_t to) {
+    for (std::uint32_t i = from; i < to; ++i) {
+      const std::uint32_t* f = fanin_.data() + fanin_begin_[i];
+      const std::uint32_t* end = fanin_.data() + fanin_begin_[i + 1];
+      Word r = Word::zero();
+      switch (kind_[i]) {
+        case GateKind::kInput:
+        case GateKind::kDff:
+          continue;
+        case GateKind::kConst0:
+          r = Word::zero();
+          break;
+        case GateKind::kConst1:
+          r = Word::ones();
+          break;
+        case GateKind::kBuf:
+          r = v[f[0]];
+          break;
+        case GateKind::kNot:
+          r = ~v[f[0]];
+          break;
+        case GateKind::kAnd:
+        case GateKind::kNand:
+          r = v[*f];
+          while (++f != end) r &= v[*f];
+          if (kind_[i] == GateKind::kNand) r = ~r;
+          break;
+        case GateKind::kOr:
+        case GateKind::kNor:
+          r = v[*f];
+          while (++f != end) r |= v[*f];
+          if (kind_[i] == GateKind::kNor) r = ~r;
+          break;
+        case GateKind::kXor:
+          r = v[f[0]] ^ v[f[1]];
+          break;
+        case GateKind::kXnor:
+          r = ~(v[f[0]] ^ v[f[1]]);
+          break;
+      }
+      v[i] = r;
+    }
+  };
+
+  // Settle up to each fault site, then force its machines' bits.  A
+  // machine carries exactly one fault, so the sites on one gate never
+  // interfere.
+  std::uint32_t next = 0;
+  for (std::size_t k = 0; k < group.sites.size();) {
+    const std::uint32_t pos = group.sites[k].pos;
+    settle(next, pos + 1);
+    next = pos + 1;
+    for (; k < group.sites.size() && group.sites[k].pos == pos; ++k) {
+      const Group::Site& site = group.sites[k];
+      const bool value = site.pin < 0 ? site.stuck_at
+                                      : eval_pin_fault(pos, site.machine,
+                                                       site.pin, site.stuck_at);
+      std::uint64_t& word = v[pos].w[site.machine / 64];
+      const std::uint64_t bit = 1ULL << (site.machine % 64);
+      word = value ? word | bit : word & ~bit;
+    }
+  }
+  settle(next, static_cast<std::uint32_t>(kind_.size()));
+
+  Word diff = Word::zero();
+  for (std::uint32_t po : po_pos_) diff |= v[po] ^ Word::fill(v[po].w[0] & 1);
+
+  for (std::size_t s = 0; s < d_pos_.size(); ++s) group.state[s] = v[d_pos_[s]];
+  for (const Group::DPin& pin : group.d_pins) {
+    std::uint64_t& word = group.state[pin.slot].w[pin.machine / 64];
+    const std::uint64_t bit = 1ULL << (pin.machine % 64);
+    word = pin.stuck_at ? word | bit : word & ~bit;
+  }
+  return diff;
+}
 
 void SequentialFaultSim::run(const std::vector<Fault>& faults,
                              const std::vector<util::BitVector>& sequence,
                              std::vector<FaultStatus>& statuses) {
+  SOCET_SPAN("faultsim/seq_run");
   util::require(statuses.size() == faults.size(),
                 "SequentialFaultSim::run: status vector size mismatch");
-  const auto& inputs = netlist_.inputs();
-  const auto& dffs = netlist_.dffs();
-  const auto& order = netlist_.topo_order();
-  const std::size_t n = netlist_.gate_count();
+  validate(faults, sequence);
 
-  // Scratch shared by every group pass (hoisted: allocating gate_count
-  // sized vectors per 63-fault group dominated small-circuit runs).
-  std::vector<SiteFaults> site(n);
-  std::vector<char> has_fault(n, 0);
-  std::vector<std::uint64_t> values(n, 0);
-  std::vector<std::uint64_t> state(dffs.size(), 0);
-  std::vector<std::size_t> faulted_gates;  ///< site/has_fault reset list
-
-  // Process faults in groups of up to 63 (bit 0 = good machine).
-  std::vector<std::size_t> group;
-  std::size_t next_fault = 0;
-  while (next_fault < faults.size() || !group.empty()) {
-    group.clear();
-    while (next_fault < faults.size() && group.size() < 63) {
-      if (statuses[next_fault] == FaultStatus::kUndetected) {
-        group.push_back(next_fault);
-      }
-      ++next_fault;
+  // Pack the undetected faults kMachines to a group, from reset.
+  const std::size_t slots = dff_pos_.size();
+  std::vector<Group> groups;
+  std::size_t live = 0;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (statuses[i] != FaultStatus::kUndetected) continue;
+    const auto machine = static_cast<unsigned>(live % kMachines + 1);
+    if (machine == 1) {
+      groups.emplace_back();
+      groups.back().fault.assign(kMachines + 1, 0);
+      groups.back().state.assign(slots, Word::zero());
     }
-    if (group.empty()) break;
+    groups.back().fault[machine] = static_cast<std::uint32_t>(i);
+    groups.back().live.set_bit(machine);
+    ++live;
+  }
+  for (Group& group : groups) index_sites(group, faults);
 
-    // Per-gate fault tables for this pass (clearing only last pass's
-    // entries instead of reallocating the whole table).
-    for (std::size_t idx : faulted_gates) {
-      site[idx].stem_mask = 0;
-      site[idx].stem_value = 0;
-      site[idx].pins.clear();
-      has_fault[idx] = 0;
+  std::uint64_t group_cycles = 0;
+  std::uint64_t repacks = 0;
+  for (const auto& vector : sequence) {
+    if (live == 0) break;
+    for (std::size_t i = 0; i < pi_.size(); ++i) {
+      pi_[i] = Word::fill(vector.get(i));
     }
-    faulted_gates.clear();
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      const Fault& f = faults[group[m]];
-      const std::uint64_t machine_bit = 1ULL << (m + 1);
-      auto& s = site[f.gate.index()];
-      if (!has_fault[f.gate.index()]) {
-        has_fault[f.gate.index()] = 1;
-        faulted_gates.push_back(f.gate.index());
-      }
-      if (f.pin < 0) {
-        s.stem_mask |= machine_bit;
-        if (f.stuck_at) s.stem_value |= machine_bit;
-      } else {
-        s.pins.push_back(SiteFaults::PinFault{machine_bit, f.pin, f.stuck_at});
-      }
+    for (Group& group : groups) {
+      const Word detected = step(group) & group.live;
+      group.live &= ~detected;
+      for_each_machine(detected, [&](unsigned machine) {
+        statuses[group.fault[machine]] = FaultStatus::kDetected;
+        --live;
+      });
     }
+    group_cycles += groups.size();
 
-    std::fill(state.begin(), state.end(), 0);
-    std::uint64_t detected = 0;
-
-    auto apply_site = [&](GateId id, std::uint64_t v) -> std::uint64_t {
-      const SiteFaults& s = site[id.index()];
-      v = (v & ~s.stem_mask) | (s.stem_value & s.stem_mask);
-      const Gate& g = netlist_.gate(id);
-      if (g.kind == GateKind::kDff) {
-        // A DFF D-pin fault (uncollapsed lists only) changes what the
-        // flop *captures*, handled in the capture loop below; the Q
-        // value this cycle is the stored state, untouched by the pin.
-        return v;
-      }
-      for (const auto& pf : s.pins) {
-        v = (v & ~pf.machine_bit) |
-            eval_gate_scalar(g, pf.machine_bit, values, pf.pin, pf.stuck_at);
-      }
-      return v;
-    };
-
-    for (const auto& vector : sequence) {
-      // Drive PIs (same pattern for all machines) and DFF state.
-      for (std::size_t i = 0; i < inputs.size(); ++i) {
-        std::uint64_t v = vector.get(i) ? ~0ULL : 0;
-        if (has_fault[inputs[i].index()]) v = apply_site(inputs[i], v);
-        values[inputs[i].index()] = v;
-      }
-      for (std::size_t i = 0; i < dffs.size(); ++i) {
-        std::uint64_t v = state[i];
-        if (has_fault[dffs[i].index()]) v = apply_site(dffs[i], v);
-        values[dffs[i].index()] = v;
-      }
-
-      // Topological evaluation with in-line fault injection.
-      for (GateId id : order) {
-        const Gate& g = netlist_.gate(id);
-        std::uint64_t v;
-        switch (g.kind) {
-          case GateKind::kInput:
-          case GateKind::kDff:
-            continue;  // already loaded
-          case GateKind::kConst0:
-            v = 0;
-            break;
-          case GateKind::kConst1:
-            v = ~0ULL;
-            break;
-          case GateKind::kBuf:
-            v = values[g.fanin[0].index()];
-            break;
-          case GateKind::kNot:
-            v = ~values[g.fanin[0].index()];
-            break;
-          case GateKind::kAnd:
-          case GateKind::kNand:
-            v = ~0ULL;
-            for (GateId f : g.fanin) v &= values[f.index()];
-            if (g.kind == GateKind::kNand) v = ~v;
-            break;
-          case GateKind::kOr:
-          case GateKind::kNor:
-            v = 0;
-            for (GateId f : g.fanin) v |= values[f.index()];
-            if (g.kind == GateKind::kNor) v = ~v;
-            break;
-          case GateKind::kXor:
-            v = values[g.fanin[0].index()] ^ values[g.fanin[1].index()];
-            break;
-          case GateKind::kXnor:
-            v = ~(values[g.fanin[0].index()] ^ values[g.fanin[1].index()]);
-            break;
-          default:
-            v = 0;
+    // Once the survivors fit in one group fewer, empty the group with the
+    // fewest survivors into the other groups' free machine bits (a
+    // detected machine's bit is free).  A machine's whole state is its
+    // column of flop bits; the good machine (bit 0) is the same in every
+    // group, so it stays where it is.
+    if (live == 0 || live > kMachines * (groups.size() - 1)) continue;
+    ++repacks;
+    do {
+      const auto emptiest = std::min_element(
+          groups.begin(), groups.end(), [](const Group& a, const Group& b) {
+            return count(a.live) < count(b.live);
+          });
+      const Group donor = std::move(*emptiest);
+      groups.erase(emptiest);
+      std::size_t g = 0;
+      for_each_machine(donor.live, [&](unsigned from) {
+        unsigned to;
+        while ((to = free_machine(groups[g].live)) == 0) ++g;
+        Group& group = groups[g];
+        group.fault[to] = donor.fault[from];
+        group.live.set_bit(to);
+        group.reindex = true;
+        for (std::size_t s = 0; s < slots; ++s) {
+          std::uint64_t& word = group.state[s].w[to / 64];
+          const std::uint64_t bit = donor.state[s].bit(from);
+          word = (word & ~(1ULL << (to % 64))) | (bit << (to % 64));
         }
-        if (has_fault[id.index()]) v = apply_site(id, v);
-        values[id.index()] = v;
-      }
-
-      // Observe primary outputs.
-      for (GateId po : netlist_.outputs()) {
-        const std::uint64_t word = values[po.index()];
-        const std::uint64_t good = (word & 1) ? ~0ULL : 0;
-        detected |= word ^ good;
-      }
-
-      // Capture next state.  DFF input-pin faults (present only in
-      // uncollapsed fault lists) force the captured bit directly.
-      for (std::size_t i = 0; i < dffs.size(); ++i) {
-        std::uint64_t v = values[netlist_.gate(dffs[i]).fanin[0].index()];
-        for (const auto& pf : site[dffs[i].index()].pins) {
-          v = (v & ~pf.machine_bit) | (pf.stuck_at ? pf.machine_bit : 0);
-        }
-        state[i] = v;
-      }
-    }
-
-    for (std::size_t m = 0; m < group.size(); ++m) {
-      if (detected & (1ULL << (m + 1))) {
-        statuses[group[m]] = FaultStatus::kDetected;
-      }
+      });
+    } while (live <= kMachines * (groups.size() - 1));
+    for (Group& group : groups) {
+      if (!group.reindex) continue;
+      index_sites(group, faults);
+      group.reindex = false;
     }
   }
+  SOCET_COUNT_N("faultsim/seq_group_cycles", group_cycles);
+  SOCET_COUNT_N("faultsim/seq_repacks", repacks);
 }
 
 }  // namespace socet::faultsim

@@ -1,6 +1,8 @@
 // Tests for the multi-lane fault-simulation kernels (block_engine.hpp),
 // the partitioned simulator (parallel_sim.hpp), the 64-bit scratch
-// stamps, and the sequential simulator's pin-fault handling.
+// stamps, and the sequential simulator: its pin-fault handling, list
+// validation, and a differential check against the engine it replaced
+// (seq_sim_reference.hpp) on random circuits and the flattened chips.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,8 +14,11 @@
 #include "socet/faultsim/parallel_sim.hpp"
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/faultsim/seq_sim.hpp"
+#include "socet/obs/metrics.hpp"
 #include "socet/util/error.hpp"
 #include "socet/util/rng.hpp"
+#include "common.hpp"
+#include "seq_sim_reference.hpp"
 
 namespace socet::faultsim {
 namespace {
@@ -392,6 +397,252 @@ TEST(SeqSimPinFaults, UncollapsedListAgreesWithScanSimOnCombinational) {
   sim.run(faults, patterns, statuses);
   EXPECT_EQ(statuses, expected);
 }
+
+TEST(SeqSimPinFaults, MalformedListRaisesBeforeAnyStatusIsWritten) {
+  // 70 inverters: 142 stem faults, every one detected within two cycles,
+  // so a simulator that validated lazily would already have written
+  // kDetected for them when it reached the malformed entry at the end.
+  GateNetlist n("chain");
+  auto a = n.add_input("a");
+  auto zero = n.add_gate(GateKind::kConst0, {}, "zero");
+  GateId prev = a;
+  for (int i = 0; i < 70; ++i) {
+    prev = n.add_gate(GateKind::kNot, {prev}, "n" + std::to_string(i));
+  }
+  n.mark_output(prev);
+  const auto good = enumerate_faults(n);
+  ASSERT_GT(good.size(), 100u);
+  const std::vector<BitVector> sequence{BitVector(1, 0), BitVector(1, 1)};
+  SequentialFaultSim sim(n);
+  {
+    std::vector<FaultStatus> statuses(good.size(), FaultStatus::kUndetected);
+    sim.run(good, sequence, statuses);
+    ASSERT_DOUBLE_EQ(summarize(statuses).fault_coverage(), 100.0);
+  }
+
+  const std::vector<Fault> malformed{
+      Fault{a, 0, true},      // pin fault on an input
+      Fault{zero, 0, false},  // pin fault on a constant
+      Fault{prev, 1, true},   // pin the inverter does not have
+      Fault{GateId(static_cast<GateId::value_type>(n.gate_count())), -1,
+            false},           // gate outside the netlist
+  };
+  for (std::size_t k = 0; k < malformed.size(); ++k) {
+    auto faults = good;
+    faults.push_back(malformed[k]);
+    for (const auto& applied : {sequence, std::vector<BitVector>{}}) {
+      std::vector<FaultStatus> statuses(faults.size(),
+                                        FaultStatus::kUndetected);
+      EXPECT_THROW(sim.run(faults, applied, statuses), util::Error)
+          << "malformed entry " << k << ", " << applied.size() << " cycles";
+      EXPECT_EQ(statuses, std::vector<FaultStatus>(
+                              faults.size(), FaultStatus::kUndetected));
+    }
+  }
+
+  // A vector narrower than the inputs, after the cycles that detect all.
+  std::vector<BitVector> narrow = sequence;
+  narrow.push_back(BitVector(0));
+  std::vector<FaultStatus> statuses(good.size(), FaultStatus::kUndetected);
+  EXPECT_THROW(sim.run(good, narrow, statuses), util::Error);
+  EXPECT_EQ(statuses,
+            std::vector<FaultStatus>(good.size(), FaultStatus::kUndetected));
+}
+
+// ------------------------------------------- sequential differential oracle
+
+/// Random sequential circuit: constants, 1–4-input gates (XOR/XNOR take
+/// two), and flops whose D comes from anywhere in the logic, so state
+/// feeds back through later cycles.  Besides `n_outputs` gate taps, a
+/// flop and an input are primary outputs too.
+GateNetlist make_random_sequential_netlist(Rng& rng, std::size_t n_inputs,
+                                           std::size_t n_dffs,
+                                           std::size_t n_gates,
+                                           std::size_t n_outputs) {
+  GateNetlist n("seqrand");
+  std::vector<GateId> nodes;
+  for (std::size_t i = 0; i < n_inputs; ++i) {
+    nodes.push_back(n.add_input("i" + std::to_string(i)));
+  }
+  nodes.push_back(n.add_gate(GateKind::kConst0, {}, "zero"));
+  nodes.push_back(n.add_gate(GateKind::kConst1, {}, "one"));
+  std::vector<GateId> dffs;
+  for (std::size_t i = 0; i < n_dffs; ++i) {
+    dffs.push_back(n.add_dff_floating("q" + std::to_string(i)));
+    nodes.push_back(dffs.back());
+  }
+  const std::size_t first_gate = nodes.size();
+  static const GateKind kKinds[] = {
+      GateKind::kAnd, GateKind::kOr,  GateKind::kNand, GateKind::kNor,
+      GateKind::kXor, GateKind::kXnor, GateKind::kNot, GateKind::kBuf};
+  for (std::size_t i = 0; i < n_gates; ++i) {
+    const GateKind kind = kKinds[rng.next_below(8)];
+    std::size_t arity = 2 + rng.next_below(3);
+    if (kind == GateKind::kNot || kind == GateKind::kBuf) arity = 1;
+    if (kind == GateKind::kXor || kind == GateKind::kXnor) arity = 2;
+    std::vector<GateId> fanin;
+    for (std::size_t p = 0; p < arity; ++p) {
+      fanin.push_back(nodes[rng.next_below(nodes.size())]);
+    }
+    nodes.push_back(n.add_gate(kind, fanin, "g" + std::to_string(i)));
+  }
+  for (GateId dff : dffs) {
+    n.set_dff_input(dff, nodes[first_gate + rng.next_below(n_gates)]);
+  }
+  for (std::size_t i = 0; i < n_outputs; ++i) {
+    n.mark_output(nodes[first_gate + rng.next_below(n_gates)]);
+  }
+  n.mark_output(dffs.front());
+  n.mark_output(nodes.front());
+  return n;
+}
+
+std::vector<BitVector> make_random_sequence(const GateNetlist& n,
+                                            std::size_t cycles, Rng& rng) {
+  std::vector<BitVector> sequence;
+  for (std::size_t c = 0; c < cycles; ++c) {
+    sequence.push_back(BitVector::random(n.inputs().size(), rng));
+  }
+  return sequence;
+}
+
+/// Both engines start from `initial`; returns the reference's statuses.
+std::vector<FaultStatus> expect_matches_reference(
+    const GateNetlist& n, const std::vector<Fault>& faults,
+    const std::vector<BitVector>& sequence,
+    const std::vector<FaultStatus>& initial, const std::string& what) {
+  std::vector<FaultStatus> expected = initial;
+  reference::SequentialFaultSim(n).run(faults, sequence, expected);
+  std::vector<FaultStatus> statuses = initial;
+  SequentialFaultSim(n).run(faults, sequence, statuses);
+  EXPECT_EQ(statuses, expected) << what;
+  return expected;
+}
+
+TEST(SeqSimOracle, RandomSequentialCircuitsMatchReference) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const auto n = make_random_sequential_netlist(rng, 6, 5, 80, 6);
+    for (bool collapse : {true, false}) {
+      auto faults = enumerate_faults(n, collapse);
+      // Constants carry no listed faults; add their stems by hand.
+      for (GateId id : n.topo_order()) {
+        const GateKind kind = n.gate(id).kind;
+        if (kind == GateKind::kConst0 || kind == GateKind::kConst1) {
+          faults.push_back(Fault{id, -1, kind == GateKind::kConst0});
+        }
+      }
+      const bool has_d_pin = std::any_of(
+          faults.begin(), faults.end(), [&](const Fault& f) {
+            return f.pin >= 0 && n.gate(f.gate).kind == GateKind::kDff;
+          });
+      EXPECT_EQ(has_d_pin, !collapse);
+
+      // Pre-set entries must be skipped and left as they are.
+      std::vector<FaultStatus> initial(faults.size(),
+                                       FaultStatus::kUndetected);
+      for (std::size_t i = 0; i < initial.size(); ++i) {
+        if (i % 5 == 0) initial[i] = FaultStatus::kDetected;
+        if (i % 7 == 0) initial[i] = FaultStatus::kUntestable;
+        if (i % 11 == 0) initial[i] = FaultStatus::kAborted;
+      }
+      for (std::size_t cycles : {0u, 1u, 2u, 96u}) {
+        const auto sequence = make_random_sequence(n, cycles, rng);
+        const auto expected = expect_matches_reference(
+            n, faults, sequence, initial,
+            "seed=" + std::to_string(seed) + " collapse=" +
+                std::to_string(collapse) + " cycles=" +
+                std::to_string(cycles));
+        if (cycles == 96) {
+          EXPECT_GT(summarize(expected).detected, summarize(initial).detected)
+              << "seed=" << seed;
+        }
+      }
+    }
+  }
+}
+
+TEST(SeqSimOracle, GroupBoundariesAndMidSequenceRepacks) {
+  constexpr std::size_t kMachines = 511;  // faulty machines per group
+  Rng rng(41);
+  const auto n = make_random_sequential_netlist(rng, 10, 16, 600, 60);
+  const auto all = enumerate_faults(n, /*collapse=*/false);
+  ASSERT_GT(all.size(), 2 * kMachines + 1);
+  const auto sequence = make_random_sequence(n, 96, rng);
+
+  const bool was_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  obs::Counter& repacks = obs::counter("faultsim/seq_repacks");
+  obs::Counter& group_cycles = obs::counter("faultsim/seq_group_cycles");
+  for (std::size_t count : {63u, 64u, 511u, 512u, 1022u, 1023u, 1100u, 0u}) {
+    if (count == 0) count = all.size();
+    const std::vector<Fault> faults(all.begin(), all.begin() + count);
+    const std::uint64_t repacks_before = repacks.value();
+    const std::uint64_t cycles_before = group_cycles.value();
+    const auto expected = expect_matches_reference(
+        n, faults, sequence,
+        std::vector<FaultStatus>(count, FaultStatus::kUndetected),
+        std::to_string(count) + " faults");
+
+    // Live faults only shrink and are checked after every cycle, so the
+    // survivors at the end decide whether a repack happened.
+    const std::size_t groups = (count + kMachines - 1) / kMachines;
+    const std::size_t survivors = count - summarize(expected).detected;
+    const bool repacked =
+        survivors > 0 && survivors <= kMachines * (groups - 1);
+    EXPECT_EQ(repacks.value() > repacks_before, repacked)
+        << count << " faults, " << survivors << " survivors";
+    // A repack leaves fewer groups to sweep in the cycles after it;
+    // without one (and with faults left) every group sweeps every cycle.
+    const std::uint64_t swept = group_cycles.value() - cycles_before;
+    if (repacked) {
+      EXPECT_LT(swept, groups * sequence.size()) << count << " faults";
+    } else if (survivors > 0) {
+      EXPECT_EQ(swept, groups * sequence.size()) << count << " faults";
+    }
+    if (count > kMachines) {
+      EXPECT_TRUE(repacked) << count << " faults";
+    }
+  }
+  obs::set_metrics_enabled(was_enabled);
+}
+
+struct ChipCase {
+  const char* name;
+  systems::System (*make)(const core::CoreCostModels&);
+  bench::ChipMode mode;
+};
+
+class SeqSimChipOracle : public ::testing::TestWithParam<ChipCase> {};
+
+TEST_P(SeqSimChipOracle, FlattenedChipMatchesReference) {
+  const systems::System system = GetParam().make({});
+  const auto input = bench::chip_sequential_input(system, GetParam().mode, 24);
+  const auto faults = enumerate_faults(input.elab.gates);
+  expect_matches_reference(
+      input.elab.gates, faults, input.sequence,
+      std::vector<FaultStatus>(faults.size(), FaultStatus::kUndetected),
+      GetParam().name);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    System1And2, SeqSimChipOracle,
+    ::testing::Values(
+        ChipCase{"system1_no_dft", &systems::make_barcode_system,
+                 bench::ChipMode::kNoDft},
+        ChipCase{"system1_hscan_unreachable", &systems::make_barcode_system,
+                 bench::ChipMode::kHscanUnreachable},
+        ChipCase{"system1_hscan_test_pin", &systems::make_barcode_system,
+                 bench::ChipMode::kHscanWithTestPin},
+        ChipCase{"system2_no_dft", &systems::make_system2,
+                 bench::ChipMode::kNoDft},
+        ChipCase{"system2_hscan_unreachable", &systems::make_system2,
+                 bench::ChipMode::kHscanUnreachable},
+        ChipCase{"system2_hscan_test_pin", &systems::make_system2,
+                 bench::ChipMode::kHscanWithTestPin}),
+    [](const ::testing::TestParamInfo<ChipCase>& info) {
+      return std::string(info.param.name);
+    });
 
 }  // namespace
 }  // namespace socet::faultsim
