@@ -1,8 +1,11 @@
 #include "socet/core/core.hpp"
 
+#include "socet/obs/trace.hpp"
+
 namespace socet::core {
 
 Core Core::prepare(rtl::Netlist netlist, const CoreCostModels& cost) {
+  SOCET_SPAN("core/prepare");
   netlist.validate();
   Core core;
   core.netlist_ = std::make_shared<const rtl::Netlist>(std::move(netlist));

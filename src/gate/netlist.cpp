@@ -42,8 +42,9 @@ GateId GateNetlist::add_gate(GateKind kind, std::vector<GateId> fanin,
                              const std::string& name) {
   util::require(kind != GateKind::kInput, "add_gate: use add_input");
   util::require(kind != GateKind::kDff, "add_gate: use add_dff");
-  util::require(arity_ok(kind, fanin.size()),
-                "add_gate: wrong fanin count for gate kind on '" + name + "'");
+  if (!arity_ok(kind, fanin.size())) {
+    util::raise("add_gate: wrong fanin count for gate kind on '" + name + "'");
+  }
   for (GateId f : fanin) {
     util::require(f.index() < gates_.size(), "add_gate: dangling fanin");
   }
@@ -114,8 +115,9 @@ const std::vector<std::vector<GateId>>& GateNetlist::fanouts() const {
 void GateNetlist::build_order() const {
   const std::size_t n = gates_.size();
   for (const GateId id : dffs_) {
-    util::require(gates_[id.index()].fanin.size() == 1,
-                  "topo_order: DFF left floating in " + name_);
+    if (gates_[id.index()].fanin.size() != 1) {
+      util::raise("topo_order: DFF left floating in " + name_);
+    }
   }
   fanouts_.assign(n, {});
   std::vector<std::uint32_t> pending(n, 0);
@@ -146,8 +148,9 @@ void GateNetlist::build_order() const {
       if (--pending[out.index()] == 0) ready.push_back(out);
     }
   }
-  util::require(topo_.size() == n,
-                "topo_order: combinational cycle in " + name_);
+  if (topo_.size() != n) {
+    util::raise("topo_order: combinational cycle in " + name_);
+  }
   order_valid_ = true;
 }
 

@@ -4,6 +4,8 @@
 #include <map>
 #include <set>
 
+#include "socet/obs/trace.hpp"
+
 namespace socet::hscan {
 
 namespace {
@@ -34,6 +36,7 @@ bool HscanConfig::covers(rtl::RegisterId reg) const {
 
 HscanConfig build_hscan(const rtl::Netlist& netlist,
                         const HscanCostModel& cost) {
+  SOCET_SPAN("hscan/build");
   const auto inputs = netlist.input_ports();
   const auto outputs = netlist.output_ports();
   util::require(!inputs.empty() && !outputs.empty(),

@@ -139,11 +139,6 @@ class Netlist {
   /// Look up a register by name; throws util::Error if absent.
   RegisterId find_register(const std::string& name) const;
 
-  /// Connections whose `from` is the given pin.
-  std::vector<const Connection*> connections_from(const PinRef& pin) const;
-  /// Connections whose `to` is the given pin.
-  std::vector<const Connection*> connections_to(const PinRef& pin) const;
-
   /// Total flip-flop count (sum of register widths).
   unsigned flip_flop_count() const;
 

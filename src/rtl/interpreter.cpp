@@ -23,9 +23,10 @@ Interpreter::Interpreter(const Netlist& netlist) : netlist_(netlist) {
     sinks_[conn.to].push_back(&conn);
   }
   for (const auto& fu : netlist.fus()) {
-    util::require(fu.kind != FuKind::kRandomLogic,
-                  "Interpreter: kRandomLogic has no RT-level semantics (" +
-                      fu.name + "); use the gate level");
+    if (fu.kind == FuKind::kRandomLogic) {
+      util::raise("Interpreter: kRandomLogic has no RT-level semantics (" +
+                  fu.name + "); use the gate level");
+    }
   }
   on_stack_.assign(netlist.muxes().size() + netlist.fus().size(), 0);
 }

@@ -1,7 +1,6 @@
 #include "socet/rtl/netlist.hpp"
 
 #include <algorithm>
-#include <map>
 
 namespace socet::rtl {
 
@@ -240,24 +239,6 @@ RegisterId Netlist::find_register(const std::string& name) const {
   util::raise("find_register: no register named '" + name + "' in " + name_);
 }
 
-std::vector<const Connection*> Netlist::connections_from(
-    const PinRef& pin) const {
-  std::vector<const Connection*> out;
-  for (const auto& conn : connections_) {
-    if (conn.from == pin) out.push_back(&conn);
-  }
-  return out;
-}
-
-std::vector<const Connection*> Netlist::connections_to(
-    const PinRef& pin) const {
-  std::vector<const Connection*> out;
-  for (const auto& conn : connections_) {
-    if (conn.to == pin) out.push_back(&conn);
-  }
-  return out;
-}
-
 unsigned Netlist::flip_flop_count() const {
   unsigned total = 0;
   for (const auto& r : registers_) total += r.width;
@@ -266,33 +247,63 @@ unsigned Netlist::flip_flop_count() const {
 
 void Netlist::check_connection(const Connection& conn) const {
   util::require(conn.width > 0, "connect: zero-width connection");
-  util::require(is_driver_pin(conn.from),
-                "connect: 'from' pin is not a driver: " +
-                    describe_pin(*this, conn.from));
-  util::require(!is_driver_pin(conn.to),
-                "connect: 'to' pin is not a sink: " +
-                    describe_pin(*this, conn.to));
-  util::require(conn.from_lo + conn.width <= pin_width(conn.from),
-                "connect: source slice exceeds pin width on " +
-                    describe_pin(*this, conn.from));
-  util::require(conn.to_lo + conn.width <= pin_width(conn.to),
-                "connect: sink slice exceeds pin width on " +
-                    describe_pin(*this, conn.to));
+  if (!is_driver_pin(conn.from)) {
+    util::raise("connect: 'from' pin is not a driver: " +
+                describe_pin(*this, conn.from));
+  }
+  if (is_driver_pin(conn.to)) {
+    util::raise("connect: 'to' pin is not a sink: " +
+                describe_pin(*this, conn.to));
+  }
+  if (conn.from_lo + conn.width > pin_width(conn.from)) {
+    util::raise("connect: source slice exceeds pin width on " +
+                describe_pin(*this, conn.from));
+  }
+  if (conn.to_lo + conn.width > pin_width(conn.to)) {
+    util::raise("connect: sink slice exceeds pin width on " +
+                describe_pin(*this, conn.to));
+  }
 }
 
 void Netlist::validate() const {
   // No sink bit may be driven twice: alternative sources must be modeled
-  // with explicit multiplexers, matching real RTL.
-  std::map<PinRef, std::vector<bool>> driven;
-  for (const auto& conn : connections_) {
-    check_connection(conn);
-    auto& bits = driven[conn.to];
-    bits.resize(pin_width(conn.to), false);
-    for (unsigned b = conn.to_lo; b < conn.to_lo + conn.width; ++b) {
-      util::require(!bits[b], "validate: sink bit driven twice on " +
-                                  describe_pin(*this, conn.to));
-      bits[b] = true;
+  // with explicit multiplexers, matching real RTL.  Connections are
+  // grouped by sink pin (stably, so each group stays in connection
+  // order); the first violation in connection order is reported, as if
+  // each connection were checked and then marked in turn.
+  const std::size_t n = connections_.size();
+  std::vector<std::uint32_t> by_sink(n);
+  for (std::uint32_t i = 0; i < n; ++i) by_sink[i] = i;
+  std::stable_sort(by_sink.begin(), by_sink.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return connections_[a].to < connections_[b].to;
+                   });
+  std::size_t first_overlap = n;
+  for (std::size_t g = 0; g < n;) {
+    std::size_t end = g + 1;
+    while (end < n &&
+           connections_[by_sink[end]].to == connections_[by_sink[g]].to) {
+      ++end;
     }
+    for (std::size_t b = g + 1; b < end; ++b) {
+      const Connection& later = connections_[by_sink[b]];
+      for (std::size_t a = g; a < b; ++a) {
+        const Connection& earlier = connections_[by_sink[a]];
+        if (earlier.to_lo < later.to_lo + later.width &&
+            later.to_lo < earlier.to_lo + earlier.width) {
+          first_overlap = std::min<std::size_t>(first_overlap, by_sink[b]);
+          break;
+        }
+      }
+    }
+    g = end;
+  }
+  for (std::size_t i = 0; i < n && i <= first_overlap; ++i) {
+    check_connection(connections_[i]);
+  }
+  if (first_overlap < n) {
+    util::raise("validate: sink bit driven twice on " +
+                describe_pin(*this, connections_[first_overlap].to));
   }
 }
 

@@ -17,7 +17,18 @@ struct Frame {
 
 class PathEnumerator {
  public:
-  explicit PathEnumerator(const Netlist& netlist) : netlist_(netlist) {}
+  explicit PathEnumerator(const Netlist& netlist) : netlist_(netlist) {
+    // Connections sorted by driver pin, each pin's run kept in connection
+    // order, so a DFS step finds its fanout by binary search.
+    by_from_.reserve(netlist.connections().size());
+    for (const Connection& conn : netlist.connections()) {
+      by_from_.push_back(&conn);
+    }
+    std::stable_sort(by_from_.begin(), by_from_.end(),
+                     [](const Connection* a, const Connection* b) {
+                       return a->from < b->from;
+                     });
+  }
 
   std::vector<TransferPath> run() {
     for (PortId id : netlist_.input_ports()) {
@@ -36,7 +47,13 @@ class PathEnumerator {
 
  private:
   void explore(const Frame& frame) {
-    for (const Connection* conn : netlist_.connections_from(frame.pin)) {
+    auto it = std::lower_bound(
+        by_from_.begin(), by_from_.end(), frame.pin,
+        [](const Connection* conn, const PinRef& pin) {
+          return conn->from < pin;
+        });
+    for (; it != by_from_.end() && (*it)->from == frame.pin; ++it) {
+      const Connection* conn = *it;
       // Intersect the carried range with the connection's source slice.
       const unsigned lo = std::max(frame.pin_lo, conn->from_lo);
       const unsigned hi = std::min(frame.pin_lo + frame.width,
@@ -86,6 +103,7 @@ class PathEnumerator {
   }
 
   const Netlist& netlist_;
+  std::vector<const Connection*> by_from_;
   NodeRef src_;
   std::vector<MuxHop> hops_;
   std::vector<TransferPath> paths_;

@@ -127,9 +127,10 @@ struct PinParser {
 
   PinRef parse(const std::string& token, std::size_t line) const {
     const auto colon = token.find(':');
-    util::require(colon != std::string::npos,
-                  "parse_netlist: line " + std::to_string(line) +
-                      ": bad pin token '" + token + "'");
+    if (colon == std::string::npos) {
+      util::raise("parse_netlist: line " + std::to_string(line) +
+                  ": bad pin token '" + token + "'");
+    }
     const std::string kind = token.substr(0, colon);
     std::string rest = token.substr(colon + 1);
     std::string pin_name;
@@ -183,9 +184,10 @@ struct PinParser {
 void check_name(const std::string& name) {
   util::require(!name.empty(), "serialize_netlist: empty component name");
   for (char c : name) {
-    util::require(!std::isspace(static_cast<unsigned char>(c)) && c != ':',
-                  "serialize_netlist: name '" + name +
-                      "' contains whitespace or ':'");
+    if (std::isspace(static_cast<unsigned char>(c)) || c == ':') {
+      util::raise("serialize_netlist: name '" + name +
+                  "' contains whitespace or ':'");
+    }
   }
 }
 

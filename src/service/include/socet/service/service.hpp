@@ -67,9 +67,9 @@ struct BatchReport {
   [[nodiscard]] std::string records_text() const;
 };
 
-/// One worker's execution context: a private system table (each thread
-/// materializes the systems its jobs name exactly once; no System is
-/// ever shared across threads) over a shared PlanCache.  Both the batch
+/// One worker's execution context: a private system table (a small LRU
+/// of the systems its jobs named last; no System is ever shared across
+/// threads) over a shared PlanCache.  Both the batch
 /// worker pool and the serve daemon's request workers run every job
 /// through run_line — one execution path is what makes `socet client`
 /// responses byte-identical to one-shot `socet batch` records.
@@ -89,7 +89,7 @@ class Executor {
   JobResult run_line(const std::string& line, std::uint64_t ordinal);
 
  private:
-  struct Systems;  // thread-local system table (service.cpp)
+  struct Systems;  // per-worker LRU system table (service.cpp)
   PlanCache& cache_;
   std::unique_ptr<Systems> systems_;
 };

@@ -58,8 +58,9 @@ unsigned long long parse_count(const std::string& token,
   unsigned long long value = 0;
   const auto [ptr, ec] =
       std::from_chars(token.data(), token.data() + token.size(), value);
-  util::require(ec == std::errc() && ptr == token.data() + token.size(),
-                "bad " + what + " '" + token + "' (want a number)");
+  if (ec != std::errc() || ptr != token.data() + token.size()) {
+    util::raise("bad " + what + " '" + token + "' (want a number)");
+  }
   return value;
 }
 
@@ -71,8 +72,9 @@ double parse_weight(const std::string& token, const std::string& what) {
   } catch (const std::exception&) {
     consumed = 0;
   }
-  util::require(consumed == token.size() && !token.empty(),
-                "bad " + what + " '" + token + "' (want a number)");
+  if (consumed != token.size() || token.empty()) {
+    util::raise("bad " + what + " '" + token + "' (want a number)");
+  }
   return value;
 }
 
@@ -103,12 +105,14 @@ std::vector<unsigned> parse_selection_spec(const std::string& spec) {
     const auto comma = spec.find(',', pos);
     const std::string token = spec.substr(
         pos, comma == std::string::npos ? std::string::npos : comma - pos);
-    util::require(!token.empty(),
-                  "bad selection '" + spec + "' (empty token)");
+    if (token.empty()) {
+      util::raise("bad selection '" + spec + "' (empty token)");
+    }
     const unsigned long long value = parse_count(token, "selection token");
-    util::require(value >= 1,
-                  "bad selection token '" + token +
-                      "' (version indices are 1-based)");
+    if (value < 1) {
+      util::raise("bad selection token '" + token +
+                  "' (version indices are 1-based)");
+    }
     selection.push_back(static_cast<unsigned>(value - 1));
     if (comma == std::string::npos) break;
     pos = comma + 1;

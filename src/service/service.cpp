@@ -4,7 +4,7 @@
 #include <charconv>
 #include <chrono>
 #include <cstdio>
-#include <map>
+#include <list>
 
 #include "socet/obs/journal.hpp"
 #include "socet/obs/metrics.hpp"
@@ -65,20 +65,32 @@ systems::System resolve_system(const std::string& name) {
               "' (use barcode|system2|synthetic:<seed>[:<cores>])");
 }
 
-/// Per-worker system table: each thread materializes the systems its jobs
-/// name exactly once, and no System is ever shared across threads.
+/// Per-worker system table: a small LRU of the systems this thread's jobs
+/// named most recently, so no System is ever shared across threads and
+/// distinct `synthetic:` names cannot grow a worker without bound.  An
+/// evicted system is rebuilt from its name on demand, identically.  A
+/// worker runs one job at a time and calls get() once per job, so the
+/// returned reference (the most recent entry, never the one evicted)
+/// stays valid for the whole job.
 class SystemTable {
  public:
+  static constexpr std::size_t kCapacity = 8;
+
   const systems::System& get(const std::string& name) {
-    auto it = systems_.find(name);
-    if (it == systems_.end()) {
-      it = systems_.emplace(name, resolve_system(name)).first;
+    auto it = std::find_if(systems_.begin(), systems_.end(),
+                           [&](const auto& entry) { return entry.first == name; });
+    if (it != systems_.end()) {
+      systems_.splice(systems_.begin(), systems_, it);
+    } else {
+      systems_.emplace_front(name, resolve_system(name));
+      if (systems_.size() > kCapacity) systems_.pop_back();
     }
-    return it->second;
+    return systems_.front().second;
   }
 
  private:
-  std::map<std::string, systems::System> systems_;
+  /// Most recently used first; list nodes keep references stable.
+  std::list<std::pair<std::string, systems::System>> systems_;
 };
 
 soc::PlanOptions plan_options_for(const Job& job) {
@@ -101,17 +113,18 @@ std::string format_selection(const std::vector<unsigned>& selection) {
 std::vector<unsigned> full_selection(const systems::System& system,
                                      const Job& job) {
   const std::size_t cores = system.soc->cores().size();
-  util::require(job.selection.size() <= cores,
-                "selection has " + std::to_string(job.selection.size()) +
-                    " entries but system '" + job.system + "' has " +
-                    std::to_string(cores) + " cores");
+  if (job.selection.size() > cores) {
+    util::raise("selection has " + std::to_string(job.selection.size()) +
+                " entries but system '" + job.system + "' has " +
+                std::to_string(cores) + " cores");
+  }
   std::vector<unsigned> selection(cores, 0);
   for (std::size_t c = 0; c < job.selection.size(); ++c) {
     selection[c] = job.selection[c];
-    util::require(
-        selection[c] <
-            system.soc->core(static_cast<std::uint32_t>(c)).version_count(),
-        "selection out of range for core " + std::to_string(c + 1));
+    if (selection[c] >=
+        system.soc->core(static_cast<std::uint32_t>(c)).version_count()) {
+      util::raise("selection out of range for core " + std::to_string(c + 1));
+    }
   }
   return selection;
 }

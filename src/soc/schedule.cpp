@@ -197,9 +197,10 @@ ChipTestPlan plan_chip_test(const Soc& soc,
 
   for (std::uint32_t c = 0; c < soc.cores().size(); ++c) {
     const core::Core& cut = soc.core(c);
-    util::require(cut.scan_vectors() > 0,
-                  "plan_chip_test: core '" + cut.name() +
-                      "' has no test set (set_scan_vectors first)");
+    if (cut.scan_vectors() == 0) {
+      util::raise("plan_chip_test: core '" + cut.name() +
+                  "' has no test set (set_scan_vectors first)");
+    }
     SOCET_SPAN("ccg/plan_core");
     CoreTestPlan core_plan;
     core_plan.core = c;

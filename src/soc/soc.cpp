@@ -25,10 +25,10 @@ std::uint32_t Soc::add_core(const core::Core* core) {
 void Soc::connect(PiId pi, std::uint32_t core, const std::string& input_port) {
   util::require(core < cores_.size(), "connect: bad core index");
   const rtl::PortId port = cores_[core]->netlist().find_port(input_port);
-  util::require(
-      cores_[core]->netlist().port(port).dir == rtl::PortDir::kInput,
-      "connect: '" + input_port + "' is not an input of " +
-          cores_[core]->name());
+  if (cores_[core]->netlist().port(port).dir != rtl::PortDir::kInput) {
+    util::raise("connect: '" + input_port + "' is not an input of " +
+                cores_[core]->name());
+  }
   links_.push_back(Link{pi, CorePortRef{core, port}});
 }
 
@@ -38,14 +38,14 @@ void Soc::connect(std::uint32_t from_core, const std::string& output_port,
                 "connect: bad core index");
   const rtl::PortId out = cores_[from_core]->netlist().find_port(output_port);
   const rtl::PortId in = cores_[to_core]->netlist().find_port(input_port);
-  util::require(
-      cores_[from_core]->netlist().port(out).dir == rtl::PortDir::kOutput,
-      "connect: '" + output_port + "' is not an output of " +
-          cores_[from_core]->name());
-  util::require(
-      cores_[to_core]->netlist().port(in).dir == rtl::PortDir::kInput,
-      "connect: '" + input_port + "' is not an input of " +
-          cores_[to_core]->name());
+  if (cores_[from_core]->netlist().port(out).dir != rtl::PortDir::kOutput) {
+    util::raise("connect: '" + output_port + "' is not an output of " +
+                cores_[from_core]->name());
+  }
+  if (cores_[to_core]->netlist().port(in).dir != rtl::PortDir::kInput) {
+    util::raise("connect: '" + input_port + "' is not an input of " +
+                cores_[to_core]->name());
+  }
   links_.push_back(
       Link{CorePortRef{from_core, out}, CorePortRef{to_core, in}});
 }
@@ -54,10 +54,10 @@ void Soc::connect(std::uint32_t core, const std::string& output_port,
                   PoId po) {
   util::require(core < cores_.size(), "connect: bad core index");
   const rtl::PortId port = cores_[core]->netlist().find_port(output_port);
-  util::require(
-      cores_[core]->netlist().port(port).dir == rtl::PortDir::kOutput,
-      "connect: '" + output_port + "' is not an output of " +
-          cores_[core]->name());
+  if (cores_[core]->netlist().port(port).dir != rtl::PortDir::kOutput) {
+    util::raise("connect: '" + output_port + "' is not an output of " +
+                cores_[core]->name());
+  }
   links_.push_back(Link{CorePortRef{core, port}, po});
 }
 
@@ -101,13 +101,16 @@ unsigned Soc::width_of(const std::variant<PoId, CorePortRef>& endpoint) const {
 void Soc::validate() const {
   std::map<std::variant<PoId, CorePortRef>, int> sink_count;
   for (const Link& link : links_) {
-    util::require(width_of(link.from) == width_of(link.to),
-                  "validate: width mismatch on a chip-level link in " + name_);
+    if (width_of(link.from) != width_of(link.to)) {
+      util::raise("validate: width mismatch on a chip-level link in " + name_);
+    }
     ++sink_count[link.to];
   }
   for (const auto& [sink, count] : sink_count) {
-    util::require(count == 1, "validate: a core input or PO in " + name_ +
-                                  " is driven more than once");
+    if (count != 1) {
+      util::raise("validate: a core input or PO in " + name_ +
+                  " is driven more than once");
+    }
   }
 }
 

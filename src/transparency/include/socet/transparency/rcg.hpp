@@ -12,6 +12,12 @@
 //   * O-split — the node's fanout is sliced toward different
 //     destinations, so propagating its value requires using every slice
 //     (the CPU's IR).
+//
+// Each node also carries its edges partitioned into mandatory slice
+// groups, computed once here for the search: for a non-split node all
+// edges form a single group of alternatives; for a split node, edges
+// with distinct slice ranges are separate groups that must all be
+// satisfied, in order of first appearance.
 #pragma once
 
 #include <cstdint>
@@ -40,6 +46,10 @@ struct RcgNode {
   bool o_split = false;
   std::vector<std::uint32_t> out_edges;
   std::vector<std::uint32_t> in_edges;
+  /// `out_edges` grouped by source slice when O-split (propagation).
+  std::vector<std::vector<std::uint32_t>> out_groups;
+  /// `in_edges` grouped by destination slice when C-split (justification).
+  std::vector<std::vector<std::uint32_t>> in_groups;
 };
 
 class Rcg {
@@ -65,9 +75,17 @@ class Rcg {
   std::string node_name(std::uint32_t index) const;
 
  private:
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+  /// Node index for `ref`, or kAbsent when it names no node of the graph.
+  std::uint32_t find(const rtl::NodeRef& ref) const;
+
   const rtl::Netlist* netlist_;
   std::vector<RcgNode> nodes_;
   std::vector<RcgEdge> edges_;
+  /// Every port and register is a node: a port's node index sits in its
+  /// slot here, and registers follow the ports from `first_register_`.
+  std::vector<std::uint32_t> port_index_;
+  std::uint32_t first_register_ = 0;
 };
 
 }  // namespace socet::transparency

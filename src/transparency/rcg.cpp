@@ -1,7 +1,8 @@
 #include "socet/transparency/rcg.hpp"
 
 #include <algorithm>
-#include <map>
+
+#include "socet/obs/trace.hpp"
 
 namespace socet::transparency {
 
@@ -12,15 +13,45 @@ bool ranges_disjoint(unsigned lo_a, unsigned w_a, unsigned lo_b, unsigned w_b) {
   return lo_a + w_a <= lo_b || lo_b + w_b <= lo_a;
 }
 
+/// Partition `edge_indices` into slice groups keyed by each edge's
+/// (lo, width) range; groups appear in order of their first edge.
+std::vector<std::vector<std::uint32_t>> slice_groups(
+    const std::vector<RcgEdge>& edges,
+    const std::vector<std::uint32_t>& edge_indices, bool split,
+    bool by_src_range) {
+  std::vector<std::vector<std::uint32_t>> groups;
+  if (!split) {
+    if (!edge_indices.empty()) groups.push_back(edge_indices);
+    return groups;
+  }
+  std::vector<std::pair<unsigned, unsigned>> ranges;
+  for (std::uint32_t e : edge_indices) {
+    const RcgEdge& edge = edges[e];
+    const auto range = std::make_pair(by_src_range ? edge.src_lo : edge.dst_lo,
+                                      edge.width);
+    const auto it = std::find(ranges.begin(), ranges.end(), range);
+    if (it == ranges.end()) {
+      ranges.push_back(range);
+      groups.push_back({e});
+    } else {
+      groups[it - ranges.begin()].push_back(e);
+    }
+  }
+  return groups;
+}
+
 }  // namespace
 
 Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
     : netlist_(&netlist) {
+  SOCET_SPAN("transparency/rcg");
   // Nodes: input ports, output ports, registers — in a stable order.
-  std::map<rtl::NodeRef, std::uint32_t> index;
+  port_index_.resize(netlist.ports().size());
   auto add_node = [&](const rtl::NodeRef& ref) {
-    index[ref] = static_cast<std::uint32_t>(nodes_.size());
-    nodes_.push_back(RcgNode{ref, false, false, {}, {}});
+    if (ref.kind != rtl::NodeKind::kRegister) {
+      port_index_[ref.index] = static_cast<std::uint32_t>(nodes_.size());
+    }
+    nodes_.push_back(RcgNode{ref, false, false, {}, {}, {}, {}});
   };
   for (rtl::PortId id : netlist.input_ports()) {
     add_node(rtl::port_node(netlist, id));
@@ -28,6 +59,7 @@ Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
   for (rtl::PortId id : netlist.output_ports()) {
     add_node(rtl::port_node(netlist, id));
   }
+  first_register_ = static_cast<std::uint32_t>(nodes_.size());
   for (std::size_t i = 0; i < netlist.registers().size(); ++i) {
     add_node(rtl::register_node(rtl::RegisterId(static_cast<std::uint32_t>(i))));
   }
@@ -35,18 +67,24 @@ Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
   // Edges from the transfer-path enumeration.  Multiple enumerated paths
   // between the same node pair with the same slices (e.g. through
   // different mux data pins) merge into one edge, keeping the cheapest
-  // annotation (direct beats mux path; HSCAN flag accumulates).
-  std::map<std::tuple<std::uint32_t, std::uint32_t, unsigned, unsigned, unsigned>,
-           std::uint32_t>
-      dedup;
+  // annotation (direct beats mux path; HSCAN flag accumulates).  A
+  // node's out_edges list, in edge order, is where a duplicate is found.
+  auto add_edge = [&](const RcgEdge& edge) {
+    nodes_[edge.src].out_edges.push_back(
+        static_cast<std::uint32_t>(edges_.size()));
+    edges_.push_back(edge);
+  };
   for (const rtl::TransferPath& path : rtl::enumerate_transfer_paths(netlist)) {
-    const std::uint32_t src = index.at(path.src);
-    const std::uint32_t dst = index.at(path.dst);
-    const auto key =
-        std::make_tuple(src, dst, path.src_lo, path.dst_lo, path.width);
-    auto it = dedup.find(key);
-    if (it != dedup.end()) {
-      RcgEdge& edge = edges_[it->second];
+    const std::uint32_t src = index_of(path.src);
+    const std::uint32_t dst = index_of(path.dst);
+    const auto& out = nodes_[src].out_edges;
+    const auto it = std::find_if(out.begin(), out.end(), [&](std::uint32_t e) {
+      const RcgEdge& edge = edges_[e];
+      return edge.dst == dst && edge.src_lo == path.src_lo &&
+             edge.dst_lo == path.dst_lo && edge.width == path.width;
+    });
+    if (it != out.end()) {
+      RcgEdge& edge = edges_[*it];
       edge.direct = edge.direct || path.direct();
       edge.mux_hops =
           std::min(edge.mux_hops, static_cast<unsigned>(path.hops.size()));
@@ -60,41 +98,38 @@ Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
     edge.width = path.width;
     edge.direct = path.direct();
     edge.mux_hops = static_cast<unsigned>(path.hops.size());
-    dedup[key] = static_cast<std::uint32_t>(edges_.size());
-    edges_.push_back(edge);
+    add_edge(edge);
   }
 
   // HSCAN flags: an edge is an HSCAN edge when the chain construction
   // reused the same (src, dst) node pair.
   if (hscan != nullptr) {
     for (const auto& [from, to] : hscan->reused_edges) {
-      auto from_it = index.find(from);
-      auto to_it = index.find(to);
-      if (from_it == index.end() || to_it == index.end()) continue;
-      for (RcgEdge& edge : edges_) {
-        if (edge.src == from_it->second && edge.dst == to_it->second) {
-          edge.hscan = true;
-        }
+      const std::uint32_t src = find(from);
+      const std::uint32_t dst = find(to);
+      if (src == kAbsent || dst == kAbsent) continue;
+      for (std::uint32_t e : nodes_[src].out_edges) {
+        if (edges_[e].dst == dst) edges_[e].hscan = true;
       }
     }
     // Inserted scan test muxes create brand-new paths: add them as HSCAN
     // edges so the transparency search can ride the chains end to end.
     for (const auto& [from, to] : hscan->added_links) {
-      auto from_it = index.find(from);
-      auto to_it = index.find(to);
-      if (from_it == index.end() || to_it == index.end()) continue;
+      const std::uint32_t src = find(from);
+      const std::uint32_t dst = find(to);
+      if (src == kAbsent || dst == kAbsent) continue;
       const unsigned width =
           std::min(rtl::node_width(netlist, from), rtl::node_width(netlist, to));
       RcgEdge edge;
-      edge.src = from_it->second;
-      edge.dst = to_it->second;
+      edge.src = src;
+      edge.dst = dst;
       edge.src_lo = 0;
       edge.dst_lo = 0;
       edge.width = width;
       edge.hscan = true;
       edge.direct = false;
       edge.mux_hops = 1;
-      edges_.push_back(edge);
+      add_edge(edge);
     }
   }
 
@@ -107,9 +142,8 @@ Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
     }
   }
 
-  // Adjacency and split-node classification.
+  // Fan-in adjacency and split-node classification.
   for (std::uint32_t e = 0; e < edges_.size(); ++e) {
-    nodes_[edges_[e].src].out_edges.push_back(e);
     nodes_[edges_[e].dst].in_edges.push_back(e);
   }
   for (RcgNode& node : nodes_) {
@@ -133,14 +167,29 @@ Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
         }
       }
     }
+    node.out_groups = slice_groups(edges_, node.out_edges, node.o_split,
+                                   /*by_src_range=*/true);
+    node.in_groups = slice_groups(edges_, node.in_edges, node.c_split,
+                                  /*by_src_range=*/false);
   }
 }
 
-std::uint32_t Rcg::index_of(const rtl::NodeRef& ref) const {
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    if (nodes_[i].ref == ref) return i;
+std::uint32_t Rcg::find(const rtl::NodeRef& ref) const {
+  std::uint32_t i = kAbsent;
+  if (ref.kind == rtl::NodeKind::kRegister) {
+    if (ref.index < nodes_.size() - first_register_) {
+      i = first_register_ + ref.index;
+    }
+  } else if (ref.index < port_index_.size()) {
+    i = port_index_[ref.index];
   }
-  util::raise("Rcg::index_of: node not in graph");
+  return i != kAbsent && nodes_[i].ref == ref ? i : kAbsent;
+}
+
+std::uint32_t Rcg::index_of(const rtl::NodeRef& ref) const {
+  const std::uint32_t i = find(ref);
+  if (i == kAbsent) util::raise("Rcg::index_of: node not in graph");
+  return i;
 }
 
 std::vector<std::uint32_t> Rcg::input_nodes() const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 
 #include "socet/obs/metrics.hpp"
 
@@ -12,47 +11,11 @@ namespace {
 
 constexpr unsigned kInf = std::numeric_limits<unsigned>::max() / 4;
 
-bool edge_allowed(const RcgEdge& edge, EdgeClass allowed,
-                  const std::set<std::uint32_t>& excluded,
-                  std::uint32_t index) {
-  if (excluded.count(index)) return false;
-  if (allowed == EdgeClass::kHscanOnly && !edge.hscan) return false;
-  return true;
-}
-
-/// Edge indices partitioned into mandatory slice groups.  For a non-split
-/// node all edges form a single group (alternatives); for a split node,
-/// edges with distinct slice ranges are separate groups that must all be
-/// satisfied.
-std::vector<std::vector<std::uint32_t>> slice_groups(
-    const Rcg& rcg, const std::vector<std::uint32_t>& edge_indices, bool split,
-    bool by_src_range) {
-  std::vector<std::vector<std::uint32_t>> groups;
-  if (!split) {
-    if (!edge_indices.empty()) groups.push_back(edge_indices);
-    return groups;
-  }
-  std::map<std::pair<unsigned, unsigned>, std::size_t> range_to_group;
-  for (std::uint32_t e : edge_indices) {
-    const RcgEdge& edge = rcg.edge(e);
-    const auto range = by_src_range ? std::make_pair(edge.src_lo, edge.width)
-                                    : std::make_pair(edge.dst_lo, edge.width);
-    auto it = range_to_group.find(range);
-    if (it == range_to_group.end()) {
-      range_to_group.emplace(range, groups.size());
-      groups.push_back({e});
-    } else {
-      groups[it->second].push_back(e);
-    }
-  }
-  return groups;
-}
-
 /// Shared machinery for the two search directions.  `Adapter` supplies:
 ///   terminal(node)   — latency-0 endpoints (outputs for propagation,
 ///                      inputs for justification)
 ///   groups(node)     — mandatory edge groups leaving the node (in search
-///                      direction)
+///                      direction), precomputed on the RCG node
 ///   next(edge)       — the node an edge leads to (in search direction)
 ///   step_cost(node, edge) — cycles added when traversing the edge
 template <typename Adapter>
@@ -60,7 +23,14 @@ class AndOrSearch {
  public:
   AndOrSearch(const Rcg& rcg, EdgeClass allowed,
               const std::set<std::uint32_t>& excluded, Adapter adapter)
-      : rcg_(rcg), allowed_(allowed), excluded_(excluded), adapter_(adapter) {}
+      : rcg_(rcg), allowed_(rcg.edges().size(), 0), adapter_(adapter) {
+    for (std::uint32_t e = 0; e < allowed_.size(); ++e) {
+      allowed_[e] = allowed == EdgeClass::kAllExisting || rcg.edge(e).hscan;
+    }
+    for (std::uint32_t e : excluded) {
+      if (e < allowed_.size()) allowed_[e] = 0;
+    }
+  }
 
   SearchResult run(std::uint32_t start) {
     relax();
@@ -68,14 +38,36 @@ class AndOrSearch {
     if (value_[start] >= kInf) return result;
     result.found = true;
     result.latency = value_[start];
-    std::vector<char> visited(rcg_.nodes().size(), 0);
-    std::set<std::uint32_t> edges;
-    reconstruct(start, visited, edges, result.freeze_points);
-    result.edges.assign(edges.begin(), edges.end());
+    visited_.assign(rcg_.nodes().size(), 0);
+    used_.assign(rcg_.edges().size(), 0);
+    reconstruct(start, result.freeze_points);
+    for (std::uint32_t e = 0; e < used_.size(); ++e) {
+      if (used_[e]) result.edges.push_back(e);
+    }
     return result;
   }
 
  private:
+  struct Choice {
+    unsigned latency = kInf;
+    std::uint32_t edge = 0;
+  };
+
+  /// The cheapest allowed edge of `group` out of `node` (first on ties).
+  Choice choose(std::uint32_t node,
+                const std::vector<std::uint32_t>& group) const {
+    Choice best;
+    for (std::uint32_t e : group) {
+      if (!allowed_[e]) continue;
+      const RcgEdge& edge = rcg_.edges()[e];
+      const unsigned next_value = value_[adapter_.next(edge)];
+      if (next_value >= kInf) continue;
+      const unsigned cand = adapter_.step_cost(rcg_, node, edge) + next_value;
+      if (cand < best.latency) best = {cand, e};
+    }
+    return best;
+  }
+
   void relax() {
     const std::size_t n = rcg_.nodes().size();
     value_.assign(n, kInf);
@@ -100,79 +92,55 @@ class AndOrSearch {
   }
 
   unsigned evaluate(std::uint32_t node) const {
-    const auto groups = adapter_.groups(rcg_, node);
+    const auto& groups = adapter_.groups(rcg_, node);
     if (groups.empty()) return kInf;
     unsigned worst = 0;
     for (const auto& group : groups) {
-      unsigned best = kInf;
-      for (std::uint32_t e : group) {
-        if (!edge_allowed(rcg_.edge(e), allowed_, excluded_, e)) continue;
-        const std::uint32_t next = adapter_.next(rcg_.edge(e));
-        if (value_[next] >= kInf) continue;
-        best = std::min(best,
-                        adapter_.step_cost(rcg_, node, rcg_.edge(e)) +
-                            value_[next]);
-      }
+      const unsigned best = choose(node, group).latency;
       if (best >= kInf) return kInf;
       worst = std::max(worst, best);
     }
     return worst;
   }
 
-  void reconstruct(std::uint32_t node, std::vector<char>& visited,
-                   std::set<std::uint32_t>& edges, unsigned& freezes) const {
-    if (visited[node]) return;
-    visited[node] = 1;
+  void reconstruct(std::uint32_t node, unsigned& freezes) {
+    if (visited_[node]) return;
+    visited_[node] = 1;
     if (adapter_.terminal(rcg_, node)) return;
-    const auto groups = adapter_.groups(rcg_, node);
-    // Chosen branch latency per group, to count balancing freezes.
-    std::vector<unsigned> branch_latency;
-    std::vector<std::uint32_t> branch_edge;
+    const auto& groups = adapter_.groups(rcg_, node);
+    // The slowest chosen branch; faster ones need balancing freezes.
+    // (Every group has a finite choice when value_[node] is finite.)
+    unsigned worst = 0;
     for (const auto& group : groups) {
-      unsigned best = kInf;
-      std::uint32_t best_edge = 0;
-      for (std::uint32_t e : group) {
-        if (!edge_allowed(rcg_.edge(e), allowed_, excluded_, e)) continue;
-        const std::uint32_t next = adapter_.next(rcg_.edge(e));
-        if (value_[next] >= kInf) continue;
-        const unsigned cand =
-            adapter_.step_cost(rcg_, node, rcg_.edge(e)) + value_[next];
-        if (cand < best) {
-          best = cand;
-          best_edge = e;
-        }
-      }
-      if (best >= kInf) continue;  // cannot happen when value_ is finite
-      branch_latency.push_back(best);
-      branch_edge.push_back(best_edge);
+      const Choice choice = choose(node, group);
+      if (choice.latency < kInf) worst = std::max(worst, choice.latency);
     }
-    const unsigned worst = branch_latency.empty()
-                               ? 0
-                               : *std::max_element(branch_latency.begin(),
-                                                   branch_latency.end());
-    for (std::size_t g = 0; g < branch_edge.size(); ++g) {
-      if (branch_latency[g] < worst) ++freezes;  // hold data on this branch
-      edges.insert(branch_edge[g]);
-      reconstruct(adapter_.next(rcg_.edge(branch_edge[g])), visited, edges,
-                  freezes);
+    for (const auto& group : groups) {
+      const Choice choice = choose(node, group);
+      if (choice.latency >= kInf) continue;
+      if (choice.latency < worst) ++freezes;  // hold data on this branch
+      used_[choice.edge] = 1;
+      reconstruct(adapter_.next(rcg_.edges()[choice.edge]), freezes);
     }
   }
 
   const Rcg& rcg_;
-  EdgeClass allowed_;
-  const std::set<std::uint32_t>& excluded_;
+  /// Per edge: in the edge class and not excluded.
+  std::vector<char> allowed_;
   Adapter adapter_;
   std::vector<unsigned> value_;
+  /// Reconstruction marks: nodes expanded, edges on the chosen paths.
+  std::vector<char> visited_;
+  std::vector<char> used_;
 };
 
 struct PropagationAdapter {
   bool terminal(const Rcg& rcg, std::uint32_t node) const {
     return rcg.node(node).ref.kind == rtl::NodeKind::kOutputPort;
   }
-  std::vector<std::vector<std::uint32_t>> groups(const Rcg& rcg,
-                                                 std::uint32_t node) const {
-    return slice_groups(rcg, rcg.node(node).out_edges, rcg.node(node).o_split,
-                        /*by_src_range=*/true);
+  const std::vector<std::vector<std::uint32_t>>& groups(
+      const Rcg& rcg, std::uint32_t node) const {
+    return rcg.node(node).out_groups;
   }
   std::uint32_t next(const RcgEdge& edge) const { return edge.dst; }
   unsigned step_cost(const Rcg& rcg, std::uint32_t /*node*/,
@@ -187,10 +155,9 @@ struct JustificationAdapter {
   bool terminal(const Rcg& rcg, std::uint32_t node) const {
     return rcg.node(node).ref.kind == rtl::NodeKind::kInputPort;
   }
-  std::vector<std::vector<std::uint32_t>> groups(const Rcg& rcg,
-                                                 std::uint32_t node) const {
-    return slice_groups(rcg, rcg.node(node).in_edges, rcg.node(node).c_split,
-                        /*by_src_range=*/false);
+  const std::vector<std::vector<std::uint32_t>>& groups(
+      const Rcg& rcg, std::uint32_t node) const {
+    return rcg.node(node).in_groups;
   }
   std::uint32_t next(const RcgEdge& edge) const { return edge.src; }
   unsigned step_cost(const Rcg& rcg, std::uint32_t node,

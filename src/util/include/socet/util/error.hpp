@@ -4,10 +4,16 @@
 // malformed inputs (e.g. a connection whose bit widths disagree).  Internal
 // invariants use SOCET_ASSERT, which throws in all build types so that the
 // test suite can exercise failure paths deterministically.
+//
+// Build messages lazily on hot paths: `require` takes a string_view so a
+// literal message costs nothing when the check passes, but an argument
+// like `"bad pin " + describe_pin(...)` is still built on every call.
+// Where a message needs formatting, write `if (!ok) raise(...)` instead.
 #pragma once
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace socet::util {
 
@@ -22,8 +28,8 @@ class Error : public std::runtime_error {
 }
 
 /// Throw unless `cond` holds.  Used for public API precondition checks.
-inline void require(bool cond, const std::string& message) {
-  if (!cond) raise(message);
+inline void require(bool cond, std::string_view message) {
+  if (!cond) raise(std::string(message));
 }
 
 }  // namespace socet::util

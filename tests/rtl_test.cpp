@@ -115,6 +115,63 @@ TEST(Netlist, ValidateAllowsDisjointSliceDrivers) {
   EXPECT_NO_THROW(n.validate());
 }
 
+/// The message `fn` throws, or "" when it does not throw.
+template <typename Fn>
+std::string error_text(Fn fn) {
+  try {
+    fn();
+  } catch (const Error& error) {
+    return error.what();
+  }
+  return "";
+}
+
+TEST(Netlist, CheckFailuresNameThePin) {
+  Netlist n("toy");
+  auto in = n.add_input("A", 8);
+  auto out = n.add_output("Z", 8);
+  auto r = n.add_register("R0", 8);
+  auto m = n.add_mux("M", 4, 2);
+  EXPECT_EQ(error_text([&] { n.connect(n.pin(in), 0, n.reg_d(r), 0, 0); }),
+            "connect: zero-width connection");
+  EXPECT_EQ(error_text([&] { n.connect(n.reg_d(r), n.pin(out)); }),
+            "connect: 'from' pin is not a driver: R0.D");
+  EXPECT_EQ(error_text([&] { n.connect(n.pin(in), n.reg_q(r)); }),
+            "connect: 'to' pin is not a sink: R0.Q");
+  EXPECT_EQ(error_text([&] { n.connect(n.reg_q(r), 6, n.mux_in(m, 1), 0, 4); }),
+            "connect: source slice exceeds pin width on R0.Q");
+  EXPECT_EQ(error_text([&] { n.connect(n.pin(in), 0, n.mux_in(m, 1), 2, 4); }),
+            "connect: sink slice exceeds pin width on M.IN1");
+  EXPECT_TRUE(n.connections().empty());
+}
+
+TEST(Netlist, ValidateReportsFirstDoubleDriveInConnectionOrder) {
+  Netlist n("toy");
+  auto a = n.add_input("A", 8);
+  auto b = n.add_input("B", 8);
+  auto out = n.add_output("Z", 8);
+  auto r = n.add_register("R1", 8);
+  n.connect(n.pin(a), n.reg_d(r));
+  n.connect(n.reg_q(r), n.pin(out));
+  n.connect(n.pin(b), 0, n.reg_d(r), 2, 2);  // first overlap: R1.D
+  n.connect(n.pin(a), n.pin(out));            // later overlap: Z
+  // Port pins order before register pins, so a by-pin scan alone would
+  // name Z; connection order names R1.D.
+  EXPECT_EQ(error_text([&] { n.validate(); }),
+            "validate: sink bit driven twice on R1.D");
+
+  Netlist port_first("toy");
+  auto pa = port_first.add_input("A", 8);
+  auto pz = port_first.add_output("Z", 8);
+  auto pr = port_first.add_register("R1", 8);
+  port_first.connect(port_first.pin(pa), port_first.pin(pz));
+  port_first.connect(port_first.pin(pa), port_first.reg_d(pr));
+  port_first.connect(port_first.reg_q(pr), 7, port_first.pin(pz), 7, 1);
+  port_first.connect(port_first.pin(pa), port_first.reg_d(pr));
+  EXPECT_EQ(error_text([&] { port_first.validate(); }),
+            "validate: sink bit driven twice on Z");
+}
+
 TEST(Netlist, FlipFlopCountSumsWidths) {
   Netlist n("toy");
   n.add_register("A", 8);

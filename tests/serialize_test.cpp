@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include "socet/core/serialize.hpp"
+#include <cstdint>
+#include <cstdio>
+
 #include "socet/soc/schedule.hpp"
+#include "socet/systems/synthetic.hpp"
 #include "socet/systems/systems.hpp"
 
 namespace socet::core {
@@ -150,6 +154,34 @@ TEST(Serialize, FromInterfaceValidates) {
   EXPECT_THROW(Core::from_interface(bad), util::Error);
   bad.name = "X";
   EXPECT_THROW(Core::from_interface(bad), util::Error) << "no versions";
+}
+
+// Exactness oracle for the provider-side flow: HSCAN chains, RCG, version
+// menus.  The digest pins every serialized core of 300 synthetic systems
+// (1 to 8 cores each) plus Systems 1 and 2, in build order, so any change
+// to Core::prepare that alters a latency, a serial group, a mux count or
+// an overhead anywhere shows up here.
+TEST(Serialize, PreparedCoresMatchGoldenDigest) {
+  std::uint64_t hash = 1469598103934665603ull;
+  auto feed = [&](const systems::System& system) {
+    for (const auto& core : system.cores) {
+      for (const char c : serialize_interface(*core)) {
+        hash ^= static_cast<unsigned char>(c);
+        hash *= 1099511628211ull;
+      }
+    }
+  };
+  for (unsigned i = 0; i < 300; ++i) {
+    systems::SyntheticSocOptions options;
+    options.cores = 1 + i % 8;
+    feed(systems::make_synthetic_system(7777 + 31 * i, options));
+  }
+  feed(systems::make_barcode_system());
+  feed(systems::make_system2());
+  char hex[17];
+  std::snprintf(hex, sizeof hex, "%016llx",
+                static_cast<unsigned long long>(hash));
+  EXPECT_STREQ(hex, "94beb358bae5f447");
 }
 
 }  // namespace

@@ -486,6 +486,9 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
   service::write_frame(fd, "plan system=barcode");   // in flight
   gate.wait_entered(1);
   service::write_frame(fd, "explore system=barcode");  // admitted, queued
+  // Drain only once the event loop has admitted it; otherwise the drain
+  // can win the race and reject it as new work.
+  while (server.stats().requests < 2) std::this_thread::sleep_for(1ms);
 
   server.request_drain();
   while (!server.stats().draining) std::this_thread::sleep_for(1ms);

@@ -263,6 +263,32 @@ TEST(PlanningService, OutputIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(PlanningService, BoundedSystemTableKeepsResponsesIdentical) {
+  // Twenty distinct synthetic systems — more than a worker's system table
+  // holds — then every name again, so evicted systems are rebuilt.  The
+  // plan cache is off, so every job really runs against the table.
+  std::vector<std::string> lines;
+  for (unsigned pass = 0; pass < 2; ++pass) {
+    for (unsigned seed = 1; seed <= 20; ++seed) {
+      lines.push_back("plan system=synthetic:" + std::to_string(seed) + ":3");
+      if (seed % 5 == 0) lines.push_back("optimize system=barcode w1=1 w2=1");
+    }
+  }
+  service::PlanningService served({1, 0});
+  const auto report = served.run_lines(lines);
+  ASSERT_EQ(report.results.size(), lines.size());
+  EXPECT_EQ(report.errors, 0u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    service::PlanningService fresh({1, 0});
+    const auto expected = fresh.run_lines({lines[i]});
+    const std::string prefix = "job " + std::to_string(i + 1) + " ";
+    ASSERT_EQ(report.results[i].record.rfind(prefix, 0), 0u);
+    EXPECT_EQ("job 1 " + report.results[i].record.substr(prefix.size()),
+              expected.results[0].record)
+        << lines[i];
+  }
+}
+
 TEST(PlanningService, RepeatedJobsHitTheCache) {
   service::PlanningService svc({1, 4096});
   const std::vector<std::string> lines = {

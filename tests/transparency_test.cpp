@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "socet/transparency/rcg.hpp"
 #include "socet/transparency/search.hpp"
 #include "socet/transparency/versions.hpp"
@@ -127,6 +129,64 @@ TEST(Rcg, HscanEdgesMarked) {
   }
   EXPECT_EQ(hscan_edges, 9u);
   EXPECT_EQ(shortcut_edges, 1u);
+}
+
+/// The slice-group partition the search used to recompute per node visit:
+/// one group of alternatives for a non-split node; for a split node one
+/// group per distinct (lo, width) range, in order of first appearance.
+std::vector<std::vector<std::uint32_t>> reference_slice_groups(
+    const Rcg& rcg, const std::vector<std::uint32_t>& edge_indices,
+    bool split, bool by_src_range) {
+  std::vector<std::vector<std::uint32_t>> groups;
+  if (!split) {
+    if (!edge_indices.empty()) groups.push_back(edge_indices);
+    return groups;
+  }
+  std::map<std::pair<unsigned, unsigned>, std::size_t> range_to_group;
+  for (std::uint32_t e : edge_indices) {
+    const RcgEdge& edge = rcg.edge(e);
+    const auto range = by_src_range ? std::make_pair(edge.src_lo, edge.width)
+                                    : std::make_pair(edge.dst_lo, edge.width);
+    auto it = range_to_group.find(range);
+    if (it == range_to_group.end()) {
+      range_to_group.emplace(range, groups.size());
+      groups.push_back({e});
+    } else {
+      groups[it->second].push_back(e);
+    }
+  }
+  return groups;
+}
+
+TEST(Rcg, SliceGroupsMatchReferencePartition) {
+  MiniCpu cpu;
+  auto hs = cpu.hscan_config();
+  Rcg rcg(cpu.n, &hs);
+  for (const RcgNode& node : rcg.nodes()) {
+    EXPECT_EQ(node.out_groups,
+              reference_slice_groups(rcg, node.out_edges, node.o_split,
+                                     /*by_src_range=*/true));
+    EXPECT_EQ(node.in_groups,
+              reference_slice_groups(rcg, node.in_edges, node.c_split,
+                                     /*by_src_range=*/false));
+  }
+  // The split cases are exercised: IR's high nibble feeds MARpage and SR
+  // (one group of two alternatives, listed first because its first edge
+  // comes first) and its low nibble feeds AC; AC's nibbles are justified
+  // separately.
+  const auto& ir = rcg.node(
+      rcg.index_of(rtl::register_node(cpu.n.find_register("IR"))));
+  ASSERT_EQ(ir.out_groups.size(), 2u);
+  EXPECT_EQ(ir.out_groups[0].size(), 2u);
+  EXPECT_EQ(rcg.edge(ir.out_groups[0][0]).src_lo, 4u);
+  EXPECT_EQ(ir.out_groups[1].size(), 1u);
+  const auto& ac = rcg.node(
+      rcg.index_of(rtl::register_node(cpu.n.find_register("AC"))));
+  EXPECT_EQ(ac.in_groups.size(), 2u);
+  const auto& maroff = rcg.node(
+      rcg.index_of(rtl::register_node(cpu.n.find_register("MARoff"))));
+  ASSERT_EQ(maroff.in_groups.size(), 1u) << "not split: one group";
+  EXPECT_EQ(maroff.in_groups[0], maroff.in_edges);
 }
 
 // ----------------------------------------------------------------- search
