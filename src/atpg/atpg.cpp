@@ -1,6 +1,9 @@
 #include "socet/atpg/atpg.hpp"
 
 #include <algorithm>
+#include <optional>
+
+#include "socet/atpg/miter.hpp"
 
 #include "socet/obs/metrics.hpp"
 #include "socet/obs/resource.hpp"
@@ -23,6 +26,17 @@ ParallelSimOptions sim_options(unsigned threads) {
   return o;
 }
 
+/// Pass 1's backtrack budget.
+constexpr unsigned kPass1Backtracks = 24;
+/// Conflicts one redundancy proof may spend before its fault goes to
+/// pass 2.  Every redundant fault that pass 1 can abort on in System 1's
+/// cores is proved within 68.
+constexpr std::uint64_t kProofConflicts = 100;
+/// Random patterns simulated against pass 1's aborts before any proof,
+/// and their generator's seed offset.
+constexpr unsigned kScreenPatterns = 256;
+constexpr std::uint64_t kScreenSeed = 0x5C4EE7;
+
 ScanPattern random_pattern(const gate::GateNetlist& netlist, util::Rng& rng) {
   ScanPattern p;
   p.pi = util::BitVector::random(netlist.inputs().size(), rng);
@@ -41,38 +55,36 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
   result.statuses.assign(result.faults.size(), FaultStatus::kUndetected);
 
   util::Rng rng(options.seed);
-  ParallelScanFaultSim sim(netlist, sim_options(options.sim_threads));
+  std::optional<ParallelScanFaultSim> sim;
+  sim.emplace(netlist, sim_options(options.sim_threads));
 
   // Phase 1: random patterns, kept only if they detect something new.
-  std::vector<ScanPattern> batch;
-  for (unsigned i = 0; i < options.random_patterns; i += 16) {
-    batch.clear();
-    for (unsigned k = 0; k < 16 && i + k < options.random_patterns; ++k) {
-      batch.push_back(random_pattern(netlist, rng));
-    }
-    auto before = faultsim::summarize(result.statuses).detected;
-    sim.run(result.faults, batch, result.statuses);
-    auto after = faultsim::summarize(result.statuses).detected;
-    if (after > before) {
-      SOCET_COUNT_N("atpg/random_patterns_kept", batch.size());
-      result.patterns.insert(result.patterns.end(), batch.begin(),
-                             batch.end());
+  {
+    SOCET_SPAN("atpg/random");
+    std::vector<ScanPattern> batch;
+    for (unsigned i = 0; i < options.random_patterns; i += 16) {
+      batch.clear();
+      for (unsigned k = 0; k < 16 && i + k < options.random_patterns; ++k) {
+        batch.push_back(random_pattern(netlist, rng));
+      }
+      auto before = faultsim::summarize(result.statuses).detected;
+      sim->run(result.faults, batch, result.statuses);
+      auto after = faultsim::summarize(result.statuses).detected;
+      if (after > before) {
+        SOCET_COUNT_N("atpg/random_patterns_kept", batch.size());
+        result.patterns.insert(result.patterns.end(), batch.begin(),
+                               batch.end());
+      }
     }
   }
 
-  // Phase 2: deterministic PODEM, two passes — a fail-fast pass with a
-  // small backtrack budget (most faults are easy; fault dropping thins the
-  // list), then a patient pass for the leftovers.
-  const unsigned limits[2] = {
-      std::min(options.backtrack_limit, 24u), options.backtrack_limit};
-  for (unsigned pass = 0; pass < 2; ++pass) {
+  // Phase 2: deterministic PODEM on every fault in `status`, with a
+  // backtrack budget of `limit`.
+  auto podem_pass = [&](FaultStatus status, unsigned limit) {
     PodemOptions podem_options;
-    podem_options.backtrack_limit = limits[pass];
+    podem_options.backtrack_limit = limit;
     for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
-      if (result.statuses[fi] != FaultStatus::kUndetected &&
-          !(pass == 1 && result.statuses[fi] == FaultStatus::kAborted)) {
-        continue;
-      }
+      if (result.statuses[fi] != status) continue;
       PodemResult pr = podem(netlist, result.faults[fi], podem_options);
       SOCET_COUNT("atpg/podem_calls");
       SOCET_COUNT_N("atpg/backtracks", pr.backtracks);
@@ -94,7 +106,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
           for (std::size_t b = 0; b < pr.ppi_dont_care.size(); ++b) {
             if (pr.ppi_dont_care[b]) pr.pattern.ppi.set(b, rng.next_bool());
           }
-          sim.run(result.faults, {pr.pattern}, result.statuses);
+          sim->run(result.faults, {pr.pattern}, result.statuses);
           SOCET_ASSERT(result.statuses[fi] == FaultStatus::kDetected,
                        "PODEM pattern failed to detect its target fault");
           result.patterns.push_back(std::move(pr.pattern));
@@ -102,11 +114,72 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
         }
       }
     }
+  };
+
+  // A fail-fast pass first: most faults are easy, and fault dropping
+  // thins the list.
+  {
+    SOCET_SPAN("atpg/podem_pass1");
+    podem_pass(FaultStatus::kUndetected,
+               std::min(options.backtrack_limit, kPass1Backtracks));
+  }
+
+  // The simulator now holds a fanout cone for nearly every fault, and
+  // only a few faults are simulated from here on.  A fresh one rebuilds
+  // just their cones and frees the rest for the proofs.
+  sim.emplace(netlist, sim_options(options.sim_threads));
+
+  // Most faults pass 1 gives up on are redundant, which PODEM can prove
+  // only by exhausting its decision tree.  A conflict-limited SAT miter
+  // proves them in a few dozen conflicts.  A redundant fault can never be
+  // detected and its pass-2 search would neither find a pattern nor draw
+  // from the RNG, so skipping it leaves every pattern unchanged.
+  {
+    SOCET_SPAN("atpg/prove_redundant");
+    // A fault some pattern detects is testable and needs no proof.
+    // Random patterns from a generator of their own (the test set's RNG
+    // stream is untouched) detect nearly every testable abort, so only
+    // the likely redundant ones reach the solver.
+    std::vector<FaultStatus> screen(result.statuses.size(),
+                                    FaultStatus::kDetected);
+    bool any = false;
+    for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
+      if (result.statuses[fi] == FaultStatus::kAborted) {
+        screen[fi] = FaultStatus::kUndetected;
+        any = true;
+      }
+    }
+    if (any) {
+      util::Rng screen_rng(options.seed ^ kScreenSeed);
+      std::vector<ScanPattern> probes(kScreenPatterns);
+      for (ScanPattern& p : probes) p = random_pattern(netlist, screen_rng);
+      sim->run(result.faults, probes, screen);
+    }
+    std::optional<MiterScratch> scratch;
+    for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
+      if (screen[fi] != FaultStatus::kUndetected) continue;
+      if (!scratch) scratch.emplace(netlist);
+      const ProofResult proof = prove_untestable(
+          netlist, result.faults[fi], *scratch, kProofConflicts);
+      SOCET_COUNT("atpg/sat_checks");
+      SOCET_COUNT_N("atpg/sat_conflicts", proof.conflicts);
+      if (proof.result == sat::Result::kUnsat) {
+        SOCET_COUNT("atpg/sat_untestable");
+        result.statuses[fi] = FaultStatus::kUntestable;
+      }
+    }
+  }
+
+  // The patient pass on what is left.
+  {
+    SOCET_SPAN("atpg/podem_pass2");
+    podem_pass(FaultStatus::kAborted, options.backtrack_limit);
   }
 
   // Final regrade: a fault that aborted early may still be detected
   // incidentally by patterns generated later (dropping skipped it once it
   // was marked).  One full-set simulation settles it.
+  SOCET_SPAN("atpg/regrade");
   std::vector<std::size_t> aborted;
   for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
     if (result.statuses[fi] == FaultStatus::kAborted) {
@@ -115,7 +188,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
     }
   }
   if (!aborted.empty()) {
-    sim.run(result.faults, result.patterns, result.statuses);
+    sim->run(result.faults, result.patterns, result.statuses);
     for (std::size_t fi : aborted) {
       if (result.statuses[fi] == FaultStatus::kUndetected) {
         result.statuses[fi] = FaultStatus::kAborted;

@@ -131,7 +131,6 @@ rtl::Netlist make_cpu_rtl() {
   n.connect(n.reg_q(mar_page), n.pin(addr_hi));
   n.connect(n.reg_q(ac), n.pin(data_out));
 
-  n.validate();
   return n;
 }
 
@@ -226,7 +225,6 @@ rtl::Netlist make_preprocessor_rtl() {
   n.connect(n.reg_q(areg), n.pin(addr));
   n.connect(n.reg_q(e2), n.pin(eoc));
 
-  n.validate();
   return n;
 }
 
@@ -293,7 +291,6 @@ rtl::Netlist make_display_rtl() {
     n.connect(n.reg_q(seg[i]), n.pin(ports[i]));
   }
 
-  n.validate();
   return n;
 }
 

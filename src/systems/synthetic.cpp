@@ -105,7 +105,6 @@ rtl::Netlist make_synthetic_core(const std::string& name, std::uint64_t seed,
     n.connect(n.fu_out(cloud), n.pin(sink));
   }
 
-  n.validate();
   return n;
 }
 

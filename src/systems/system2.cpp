@@ -99,7 +99,6 @@ rtl::Netlist make_graphics_rtl() {
   n.connect(n.reg_q(yo), n.pin(py));
   n.connect(n.reg_q(dr), n.pin(done));
 
-  n.validate();
   return n;
 }
 
@@ -152,7 +151,6 @@ rtl::Netlist make_gcd_rtl() {
   n.connect(n.reg_q(ro), n.pin(res));
   n.connect(n.reg_q(st), n.pin(ready));
 
-  n.validate();
   return n;
 }
 
@@ -211,7 +209,6 @@ rtl::Netlist make_x25_rtl() {
   n.connect(n.reg_q(txr), n.pin(tx));
   n.connect(n.reg_q(str), n.pin(stat));
 
-  n.validate();
   return n;
 }
 

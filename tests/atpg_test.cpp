@@ -5,8 +5,12 @@
 
 #include "podem_reference.hpp"
 #include "socet/atpg/atpg.hpp"
+#include "socet/atpg/miter.hpp"
 #include "socet/atpg/podem.hpp"
+#include "socet/atpg/sat.hpp"
 #include "socet/atpg/sequential.hpp"
+#include "socet/obs/metrics.hpp"
+#include "socet/obs/trace.hpp"
 #include "socet/rtl/netlist.hpp"
 #include "socet/synth/elaborate.hpp"
 #include "socet/systems/systems.hpp"
@@ -347,6 +351,265 @@ TEST(PodemCounters, ImplicationIsEventDrivenOnSystem1Core) {
   EXPECT_LT(gate_evals, implications * gates);
 }
 
+// ------------------------------------------------------------ SAT solver
+
+using sat::Lit;
+
+/// A CNF over `vars` variables as clause lists.
+struct Cnf {
+  unsigned vars = 0;
+  std::vector<std::vector<Lit>> clauses;
+};
+
+/// Brute force: does some assignment of the variables satisfy every
+/// clause?
+bool brute_force_sat(const Cnf& cnf) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> masks;  // pos, neg
+  for (const auto& clause : cnf.clauses) {
+    std::uint32_t pos = 0, neg = 0;
+    for (const Lit l : clause) (l.negated() ? neg : pos) |= 1u << l.var();
+    masks.emplace_back(pos, neg);
+  }
+  for (std::uint32_t a = 0; a < (1u << cnf.vars); ++a) {
+    bool all = true;
+    for (const auto& [pos, neg] : masks) {
+      if ((a & pos) == 0 && (~a & neg) == 0) {
+        all = false;
+        break;
+      }
+    }
+    if (all) return true;
+  }
+  return false;
+}
+
+sat::Result solve_cnf(sat::Solver& solver, const Cnf& cnf,
+                      std::uint64_t conflict_limit) {
+  solver.clear();
+  for (unsigned v = 0; v < cnf.vars; ++v) solver.new_var(v % 3 == 0);
+  for (const auto& clause : cnf.clauses) solver.add_clause(clause);
+  return solver.solve(conflict_limit);
+}
+
+bool model_satisfies(const sat::Solver& solver, const Cnf& cnf) {
+  for (const auto& clause : cnf.clauses) {
+    bool any = false;
+    for (const Lit l : clause) {
+      any |= solver.model_value(l.var()) != l.negated();
+    }
+    if (!any) return false;
+  }
+  return true;
+}
+
+/// Pigeonhole: `holes + 1` pigeons in `holes` holes, unsatisfiable and
+/// hard for resolution.
+Cnf pigeonhole(unsigned holes) {
+  Cnf cnf;
+  const unsigned pigeons = holes + 1;
+  cnf.vars = pigeons * holes;
+  auto var = [holes](unsigned p, unsigned h) { return p * holes + h; };
+  for (unsigned p = 0; p < pigeons; ++p) {
+    std::vector<Lit> somewhere;
+    for (unsigned h = 0; h < holes; ++h) {
+      somewhere.push_back(Lit::pos(var(p, h)));
+    }
+    cnf.clauses.push_back(somewhere);
+  }
+  for (unsigned h = 0; h < holes; ++h) {
+    for (unsigned p = 0; p < pigeons; ++p) {
+      for (unsigned q = p + 1; q < pigeons; ++q) {
+        cnf.clauses.push_back({Lit::neg(var(p, h)), Lit::neg(var(q, h))});
+      }
+    }
+  }
+  return cnf;
+}
+
+TEST(Sat, MatchesBruteForceOnRandomCnfs) {
+  util::Rng rng(2024);
+  sat::Solver solver;  // one solver, cleared between formulas
+  unsigned sat_count = 0, unsat_count = 0, limited = 0;
+  for (unsigned instance = 0; instance < 12000; ++instance) {
+    Cnf cnf;
+    cnf.vars = 1 + static_cast<unsigned>(rng.next_below(14));
+    const auto clauses = 1 + rng.next_below(5 * cnf.vars + 2);
+    for (std::uint64_t c = 0; c < clauses; ++c) {
+      std::vector<Lit> clause;
+      const auto width = 1 + rng.next_below(rng.next_below(8) == 0 ? 2 : 4);
+      for (std::uint64_t k = 0; k < width; ++k) {
+        const auto v = static_cast<std::uint32_t>(rng.next_below(cnf.vars));
+        clause.push_back(rng.next_bool() ? Lit::neg(v) : Lit::pos(v));
+      }
+      cnf.clauses.push_back(clause);
+    }
+    const bool want = brute_force_sat(cnf);
+    const sat::Result got = solve_cnf(solver, cnf, 1u << 20);
+    ASSERT_EQ(got, want ? sat::Result::kSat : sat::Result::kUnsat)
+        << "instance " << instance;
+    if (want) {
+      ASSERT_TRUE(model_satisfies(solver, cnf)) << "instance " << instance;
+      ++sat_count;
+    } else {
+      ++unsat_count;
+    }
+    // Under a one-conflict limit the answer is right or unknown.
+    const sat::Result capped = solve_cnf(solver, cnf, 1);
+    if (capped == sat::Result::kUnknown) {
+      ++limited;
+      EXPECT_EQ(solver.conflicts(), 1u);
+    } else {
+      ASSERT_EQ(capped, got) << "instance " << instance;
+    }
+  }
+  EXPECT_GT(sat_count, 2000u);
+  EXPECT_GT(unsat_count, 2000u);
+  EXPECT_GT(limited, 20u);
+}
+
+TEST(Sat, ConflictLimitReturnsUnknown) {
+  const Cnf cnf = pigeonhole(3);  // 12 variables
+  ASSERT_LE(cnf.vars, 14u);
+  ASSERT_FALSE(brute_force_sat(cnf));
+  sat::Solver solver;
+  EXPECT_EQ(solve_cnf(solver, cnf, 2), sat::Result::kUnknown);
+  EXPECT_EQ(solver.conflicts(), 2u);
+  EXPECT_EQ(solve_cnf(solver, cnf, 1u << 20), sat::Result::kUnsat);
+  EXPECT_GT(solver.conflicts(), 2u);
+}
+
+TEST(Sat, EmptyAndUnitClauses) {
+  sat::Solver solver;
+  const auto x = solver.new_var();
+  const auto y = solver.new_var();
+  solver.add_clause({Lit::pos(x)});
+  solver.add_clause({Lit::neg(x), Lit::pos(y)});
+  solver.add_clause({Lit::pos(y), Lit::neg(y)});  // tautology, dropped
+  ASSERT_EQ(solver.solve(10), sat::Result::kSat);
+  EXPECT_TRUE(solver.model_value(x));
+  EXPECT_TRUE(solver.model_value(y));
+  solver.add_clause({Lit::neg(y)});
+  EXPECT_EQ(solver.solve(10), sat::Result::kUnsat);
+  EXPECT_EQ(solver.conflicts(), 0u);
+  solver.clear();
+  solver.new_var();
+  solver.add_clause(std::span<const Lit>{});
+  EXPECT_EQ(solver.solve(10), sat::Result::kUnsat);
+}
+
+// ------------------------------------------------------ redundancy proofs
+
+/// Every scan pattern of a circuit with at most 16 PIs + PPIs.
+std::vector<faultsim::ScanPattern> every_pattern(const GateNetlist& n) {
+  const std::size_t pis = n.inputs().size();
+  const std::size_t width = pis + n.dffs().size();
+  std::vector<faultsim::ScanPattern> patterns;
+  for (std::uint32_t a = 0; a < (1u << width); ++a) {
+    faultsim::ScanPattern p;
+    p.pi = util::BitVector(pis);
+    p.ppi = util::BitVector(n.dffs().size());
+    for (std::size_t b = 0; b < width; ++b) {
+      const bool bit = ((a >> b) & 1u) != 0;
+      if (b < pis) {
+        p.pi.set(b, bit);
+      } else {
+        p.ppi.set(b - pis, bit);
+      }
+    }
+    patterns.push_back(std::move(p));
+  }
+  return patterns;
+}
+
+bool pattern_detects(faultsim::ScanFaultSim& sim, const Fault& fault,
+                     const faultsim::ScanPattern& pattern) {
+  return sim.good_response(pattern) != sim.faulty_response(fault, pattern);
+}
+
+TEST(Miter, VerdictsMatchExhaustiveSimulationOnRandomLogic) {
+  unsigned redundant = 0, testable = 0;
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    const unsigned inputs = 4 + static_cast<unsigned>(seed % 9);
+    const unsigned dffs = static_cast<unsigned>(seed % 4);
+    const auto n = make_random_logic(seed, inputs, dffs, 40 + 4 * seed);
+    ASSERT_LE(n.inputs().size() + n.dffs().size(), 16u);
+    const auto faults = faultsim::enumerate_faults(n);
+    std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+    faultsim::ScanFaultSim sim(n);
+    sim.run(faults, every_pattern(n), statuses);
+
+    MiterScratch scratch(n);
+    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+      const std::string what =
+          "seed " + std::to_string(seed) + " " + describe_fault(n, faults[fi]);
+      const ProofResult proof =
+          prove_untestable(n, faults[fi], scratch, 1u << 20);
+      ASSERT_NE(proof.result, sat::Result::kUnknown) << what;
+      if (proof.result == sat::Result::kUnsat) {
+        EXPECT_EQ(statuses[fi], FaultStatus::kUndetected) << what;
+        ++redundant;
+      } else {
+        EXPECT_EQ(statuses[fi], FaultStatus::kDetected) << what;
+        EXPECT_TRUE(pattern_detects(sim, faults[fi], scratch.model_pattern()))
+            << what;
+        ++testable;
+      }
+    }
+  }
+  EXPECT_GT(redundant, 20u);
+  EXPECT_GT(testable, 1000u);
+}
+
+TEST(Miter, ActivePathSurvivesCancellingReconvergence) {
+  // a fans out to n1 = NOT(a) and to d = AND(n1, a): d is 0 in both
+  // machines whatever a is, so a difference on n1 never reaches d.
+  // a s-a-0 is still tested at z = AND(a, b) by a = b = 1.  Requiring
+  // every differing unobserved gate (n1) to have a differing fanout
+  // would forbid that test and call the fault redundant; the
+  // sensitized-path variables only follow the path a -> z.
+  GateNetlist n("cancel");
+  auto a = n.add_input("a");
+  auto b = n.add_input("b");
+  auto n1 = n.add_gate(GateKind::kNot, {a}, "n1");
+  auto d = n.add_gate(GateKind::kAnd, {n1, a}, "d");
+  auto z = n.add_gate(GateKind::kAnd, {a, b}, "z");
+  n.mark_output(d);
+  n.mark_output(z);
+
+  MiterScratch scratch(n);
+  const Fault fault{a, -1, false};
+  const ProofResult proof = prove_untestable(n, fault, scratch, 100);
+  ASSERT_EQ(proof.result, sat::Result::kSat);
+  faultsim::ScanFaultSim sim(n);
+  const auto pattern = scratch.model_pattern();
+  EXPECT_TRUE(pattern.pi.get(0));
+  EXPECT_TRUE(pattern.pi.get(1));
+  EXPECT_TRUE(pattern_detects(sim, fault, pattern));
+  // The same structure also carries a truly redundant fault: d's output
+  // is constant 0, so d s-a-0 cannot be tested.
+  EXPECT_EQ(prove_untestable(n, Fault{d, -1, false}, scratch, 100).result,
+            sat::Result::kUnsat);
+}
+
+TEST(Miter, UnobservableConeIsRedundantWithoutSearch) {
+  GateNetlist n("dangling");
+  auto a = n.add_input("a");
+  auto b = n.add_input("b");
+  auto dead = n.add_gate(GateKind::kOr, {a, b}, "dead");  // drives nothing
+  n.mark_output(n.add_gate(GateKind::kXor, {a, b}, "z"));
+  MiterScratch scratch(n);
+  const ProofResult proof =
+      prove_untestable(n, Fault{dead, -1, true}, scratch, 100);
+  EXPECT_EQ(proof.result, sat::Result::kUnsat);
+  EXPECT_EQ(proof.conflicts, 0u);
+  GateNetlist other("other");
+  other.mark_output(other.add_input("a"));
+  EXPECT_THROW(prove_untestable(other, Fault{GateId(0), -1, true}, scratch, 1),
+               util::Error);
+  EXPECT_THROW(prove_untestable(n, Fault{dead, 2, false}, scratch, 1),
+               util::Error);
+}
+
 // ------------------------------------------------------------- ATPG driver
 
 TEST(Atpg, FullCoverageOnIrredundantCircuit) {
@@ -469,6 +732,119 @@ TEST(Atpg, RandomSequenceShapeAndDeterminism) {
   ASSERT_EQ(s1.size(), 10u);
   EXPECT_EQ(s1[0].width(), 2u);
   for (std::size_t i = 0; i < 10; ++i) EXPECT_EQ(s1[i], s2[i]);
+}
+
+
+// ----------------------------------------------------- System 1 goldens
+
+/// FNV-1a 64 over the pattern bits, PI bits then PPI bits, one byte each.
+std::uint64_t pattern_digest(
+    const std::vector<faultsim::ScanPattern>& patterns) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto feed = [&h](const util::BitVector& bits) {
+    for (std::size_t i = 0; i < bits.width(); ++i) {
+      h ^= bits.get(i) ? 1u : 0u;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& p : patterns) {
+    feed(p.pi);
+    feed(p.ppi);
+  }
+  return h;
+}
+
+TEST(AtpgGolden, System1CoresKeepPatternsAndProveAbortsRedundant) {
+  // Derived before redundancy proofs existed, when these cores ended
+  // with 13-15 (CPU), 48 (PREPROCESSOR) and 133-135 (DISPLAY) aborted
+  // faults.  The proofs may only turn aborted faults into untestable
+  // ones: patterns and detections stay exactly as they were.
+  struct Golden {
+    const char* core;
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::size_t patterns;
+    std::size_t detected;
+    std::size_t untestable_or_aborted;
+  };
+  static constexpr Golden kGoldens[] = {
+      {"CPU", 1, 0x709e995d61e509c1ull, 168, 15482, 96 + 13},
+      {"CPU", 2, 0x883528321d91413bull, 166, 15480, 96 + 15},
+      {"CPU", 3, 0x9a1bd4dd55dc0033ull, 168, 15481, 96 + 14},
+      {"PREPROCESSOR", 1, 0x7f3adcbdedafece7ull, 81, 12354, 106 + 48},
+      {"PREPROCESSOR", 2, 0xc19f525857cad0bcull, 79, 12354, 106 + 48},
+      {"PREPROCESSOR", 3, 0x462ab414caf8a40eull, 79, 12354, 106 + 48},
+      {"DISPLAY", 1, 0x7b5fe567db944ba1ull, 82, 8259, 33 + 135},
+      {"DISPLAY", 2, 0x8893c7407135e8afull, 83, 8260, 33 + 134},
+      {"DISPLAY", 3, 0x910979d927200d15ull, 81, 8261, 33 + 133},
+  };
+  auto system = systems::make_barcode_system();
+  for (const char* name : {"CPU", "PREPROCESSOR", "DISPLAY"}) {
+    const auto elab = synth::elaborate(system.core_named(name).netlist());
+    for (const Golden& golden : kGoldens) {
+      if (std::string(golden.core) != name) continue;
+      const std::string what =
+          std::string(name) + " seed " + std::to_string(golden.seed);
+      const auto result = generate_tests(elab.gates, {.seed = golden.seed});
+      const auto coverage = result.coverage();
+      EXPECT_EQ(pattern_digest(result.patterns), golden.digest) << what;
+      EXPECT_EQ(result.patterns.size(), golden.patterns) << what;
+      EXPECT_EQ(coverage.detected, golden.detected) << what;
+      EXPECT_EQ(coverage.untestable + coverage.aborted,
+                golden.untestable_or_aborted)
+          << what;
+      EXPECT_LE(coverage.aborted, 5u) << what;
+    }
+  }
+}
+
+TEST(AtpgTrace, GenerateTestsNamesItsPhases) {
+  GateNetlist n("red");
+  auto a = n.add_input("a");
+  auto b = n.add_input("b");
+  auto g1 = n.add_gate(GateKind::kAnd, {a, b}, "g1");
+  n.mark_output(n.add_gate(GateKind::kOr, {a, g1}, "z"));
+
+  obs::reset_trace();
+  obs::set_trace_enabled(true);
+  generate_tests(n, {.random_patterns = 8, .seed = 3});
+  obs::set_trace_enabled(false);
+  const auto spans = obs::recorded_spans();
+  obs::reset_trace();
+  std::uint64_t root = 0;
+  for (const auto& span : spans) {
+    if (span.name == "atpg/generate_tests") root = span.id;
+  }
+  ASSERT_NE(root, 0u);
+  std::vector<std::string> children;
+  for (const auto& span : spans) {
+    if (span.parent == root) children.push_back(span.name);
+  }
+  const std::vector<std::string> want = {
+      "atpg/random", "atpg/podem_pass1", "atpg/prove_redundant",
+      "atpg/podem_pass2", "atpg/regrade"};
+  EXPECT_EQ(children, want);
+}
+
+TEST(AtpgTrace, ProofCountersAddUp) {
+  auto system = systems::make_barcode_system();
+  const auto elab = synth::elaborate(system.core_named("DISPLAY").netlist());
+  obs::set_metrics_enabled(true);
+  auto& checks = obs::counter("atpg/sat_checks");
+  auto& untestable = obs::counter("atpg/sat_untestable");
+  auto& conflicts = obs::counter("atpg/sat_conflicts");
+  const auto checks0 = checks.value();
+  const auto untestable0 = untestable.value();
+  const auto conflicts0 = conflicts.value();
+  const auto result = generate_tests(elab.gates, {.seed = 1});
+  obs::set_metrics_enabled(false);
+  // Without the proofs DISPLAY ended with 135 aborted faults, every one
+  // of them a pass-1 abort; nearly all are redundant.
+  EXPECT_GE(checks.value() - checks0, 135u);
+  EXPECT_GE(untestable.value() - untestable0, 130u);
+  EXPECT_LE(untestable.value() - untestable0, checks.value() - checks0);
+  EXPECT_GT(conflicts.value() - conflicts0, 0u);
+  EXPECT_LE(result.coverage().aborted, 5u);
 }
 
 }  // namespace

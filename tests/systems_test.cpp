@@ -2,6 +2,7 @@
 
 #include "socet/soc/schedule.hpp"
 #include "socet/synth/elaborate.hpp"
+#include "socet/systems/synthetic.hpp"
 #include "socet/systems/systems.hpp"
 
 namespace socet::systems {
@@ -211,6 +212,22 @@ TEST(Systems, AllCoresElaborateAndValidate) {
     auto elab = synth::elaborate(netlist);
     EXPECT_NO_THROW(elab.gates.topo_order()) << netlist.name();
     EXPECT_GT(elab.gates.cell_count(), 100u) << netlist.name();
+  }
+}
+
+TEST(Systems, SyntheticCoreNetlistsValidate) {
+  // The factories leave validation to Core::prepare, so every netlist they
+  // return must already be well formed.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SyntheticCoreOptions options;
+    options.registers = 2 + static_cast<unsigned>(seed % 5);
+    options.with_splits = seed % 2 == 0;
+    options.with_cloud = seed % 3 == 0;
+    options.inputs = 1 + static_cast<unsigned>(seed % 3);
+    options.outputs = 1 + static_cast<unsigned>(seed % 4);
+    auto netlist = make_synthetic_core("SYN" + std::to_string(seed), seed,
+                                       options);
+    EXPECT_NO_THROW(netlist.validate()) << netlist.name();
   }
 }
 
