@@ -71,14 +71,17 @@ int main() {
               static_cast<unsigned long long>(sim.output("Y").to_u64()));
 
   // ---- 2. provider-side SOCET flow -------------------------------------
-  core::Core mac = core::Core::prepare(make_mac_core());
+  std::size_t rcg_nodes = 0;
+  std::size_t rcg_edges = 0;
+  core::Core mac = core::Core::prepare(
+      make_mac_core(), {}, [&](const transparency::Rcg& rcg) {
+        rcg_nodes = rcg.nodes().size();
+        rcg_edges = rcg.edges().size();
+      });
   mac.set_scan_vectors(40);
   std::printf("\nMAC HSCAN: %u cells, depth %u\n", mac.hscan_overhead_cells(),
               mac.hscan().max_depth);
-
-  transparency::Rcg rcg(mac.netlist(), &mac.hscan());
-  std::printf("RCG: %zu nodes, %zu edges\n", rcg.nodes().size(),
-              rcg.edges().size());
+  std::printf("RCG: %zu nodes, %zu edges\n", rcg_nodes, rcg_edges);
   for (const auto& version : mac.versions()) {
     std::printf("  %s: %u cells,", version.name.c_str(), version.extra_cells);
     for (const auto& edge : version.edges) {

@@ -4,16 +4,21 @@
 
 namespace socet::core {
 
-Core Core::prepare(rtl::Netlist netlist, const CoreCostModels& cost) {
+Core Core::prepare(
+    rtl::Netlist netlist, const CoreCostModels& cost,
+    const std::function<void(const transparency::Rcg&)>& inspect_rcg) {
   SOCET_SPAN("core/prepare");
   netlist.validate();
   Core core;
   core.netlist_ = std::make_shared<const rtl::Netlist>(std::move(netlist));
   core.ff_count_ = core.netlist_->flip_flop_count();
-  core.hscan_ = hscan::build_hscan(*core.netlist_, cost.hscan);
+  const std::vector<rtl::TransferPath> paths =
+      rtl::enumerate_transfer_paths(*core.netlist_);
+  core.hscan_ = hscan::build_hscan(*core.netlist_, paths, cost.hscan);
   core.fscan_cells_ =
       hscan::fscan_overhead_cells(*core.netlist_, cost.hscan);
-  transparency::Rcg rcg(*core.netlist_, &core.hscan_);
+  transparency::Rcg rcg(*core.netlist_, paths, &core.hscan_);
+  if (inspect_rcg) inspect_rcg(rcg);
   core.versions_ = transparency::standard_versions(rcg, cost.transparency);
   return core;
 }

@@ -7,12 +7,14 @@
 // and overheads, scan depth, and the precomputed test-set size.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "socet/hscan/hscan.hpp"
 #include "socet/rtl/netlist.hpp"
+#include "socet/transparency/rcg.hpp"
 #include "socet/transparency/versions.hpp"
 
 namespace socet::core {
@@ -39,8 +41,14 @@ struct CoreInterface {
 class Core {
  public:
   /// Run the full provider-side flow on `netlist`: HSCAN chains, RCG,
-  /// standard three-version transparency menu.
-  static Core prepare(rtl::Netlist netlist, const CoreCostModels& cost = {});
+  /// standard three-version transparency menu.  The netlist's transfer
+  /// paths are enumerated once here and feed both HSCAN and the RCG.
+  /// `inspect_rcg`, when set, is shown the RCG the menu was derived from
+  /// (HSCAN edges flagged) before it is discarded — what `socet dot`
+  /// renders.
+  static Core prepare(
+      rtl::Netlist netlist, const CoreCostModels& cost = {},
+      const std::function<void(const transparency::Rcg&)>& inspect_rcg = {});
 
   /// Reconstruct a Core from a shipped interface (hard cores).  The
   /// resulting Core carries a ports-only netlist: it plugs into Soc,

@@ -35,6 +35,7 @@ bool HscanConfig::covers(rtl::RegisterId reg) const {
 }
 
 HscanConfig build_hscan(const rtl::Netlist& netlist,
+                        std::span<const TransferPath> paths,
                         const HscanCostModel& cost) {
   SOCET_SPAN("hscan/build");
   const auto inputs = netlist.input_ports();
@@ -46,7 +47,7 @@ HscanConfig build_hscan(const rtl::Netlist& netlist,
   // gate) over mux paths (two gates); first match wins below, so sort
   // direct-first.
   std::map<NodeRef, std::vector<Edge>> adjacency;
-  for (const TransferPath& path : rtl::enumerate_transfer_paths(netlist)) {
+  for (const TransferPath& path : paths) {
     adjacency[path.src].push_back(
         Edge{path.dst, path.direct() ? LinkKind::kDirect : LinkKind::kMuxPath});
   }

@@ -16,6 +16,7 @@
 //   * area accounting for Table 2's HSCAN overhead column.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "socet/rtl/netlist.hpp"
@@ -90,11 +91,13 @@ struct HscanConfig {
   [[nodiscard]] bool covers(rtl::RegisterId reg) const;
 };
 
-/// Build HSCAN chains for `netlist`.  Every register lands on exactly one
-/// chain; chains are balanced round-robin across the available input
-/// ports.  Throws util::Error if the netlist has no input or no output
-/// port (nothing to anchor a chain to).
+/// Build HSCAN chains for `netlist`, whose transfer paths
+/// (rtl::enumerate_transfer_paths) are `paths`.  Every register lands on
+/// exactly one chain; chains are balanced round-robin across the
+/// available input ports.  Throws util::Error if the netlist has no input
+/// or no output port (nothing to anchor a chain to).
 HscanConfig build_hscan(const rtl::Netlist& netlist,
+                        std::span<const rtl::TransferPath> paths,
                         const HscanCostModel& cost = {});
 
 /// Cell overhead of plain full scan on the same netlist (FSCAN column of

@@ -1,6 +1,7 @@
 #include "socet/obs/explain.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -15,9 +16,7 @@ std::string field_str(const JsonValue& event, std::string_view key) {
 
 long long field_int(const JsonValue& event, std::string_view key,
                     long long fallback = 0) {
-  const JsonValue* value = event.get(key);
-  if (value == nullptr || !value->is_number()) return fallback;
-  return static_cast<long long>(value->number_value);
+  return event.int_at(key, fallback);
 }
 
 std::string event_type(const JsonValue& event) {
@@ -33,8 +32,9 @@ std::string scalar_text(const JsonValue& value) {
       return value.bool_value ? "true" : "false";
     case JsonValue::Kind::kNumber: {
       const double d = value.number_value;
-      const long long i = static_cast<long long>(d);
-      if (static_cast<double>(i) == d) return std::to_string(i);
+      if (std::abs(d) < 1e18 && d == std::trunc(d)) {
+        return std::to_string(static_cast<long long>(d));
+      }
       return std::to_string(d);
     }
     default:

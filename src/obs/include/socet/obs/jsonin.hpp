@@ -11,6 +11,7 @@
 // rejected instead of overflowing the parser's stack.
 #pragma once
 
+#include <limits>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -47,6 +48,18 @@ class JsonValue {
 
   [[nodiscard]] double number_or(double fallback) const {
     return is_number() ? number_value : fallback;
+  }
+  /// Member `key` as an Int; `fallback` when it is absent, not a number,
+  /// or outside Int's range (casting such a double is undefined).
+  template <typename Int>
+  [[nodiscard]] Int int_at(std::string_view key, Int fallback) const {
+    using Limits = std::numeric_limits<Int>;
+    const JsonValue* value = get(key);
+    const bool fits =
+        value != nullptr && value->is_number() &&
+        value->number_value >= static_cast<double>(Limits::lowest()) &&
+        value->number_value < static_cast<double>(Limits::max()) + 1.0;
+    return fits ? static_cast<Int>(value->number_value) : fallback;
   }
   [[nodiscard]] bool bool_or(bool fallback) const {
     return is_bool() ? bool_value : fallback;

@@ -3,8 +3,9 @@
 //
 // Input: the one Chrome trace flavor the system emits — `X` slices
 // linked by hex `args.span`/`args.parent` ids — whether from a local
-// `--trace` (trace.cpp), a merged client/daemon trace (tracemerge.cpp)
-// or a `socet trace-merge` concatenation of either.  `load_trace`
+// `--trace` (trace.cpp) or a merged client/daemon trace
+// (tracemerge.cpp).  Separate runs are aggregated by passing several
+// documents to `socet trace-analyze`.  `load_trace`
 // builds the span forest from those ids alone; `from_spans` builds the
 // same forest straight from in-process SpanRecords (the run report's
 // path).  Anything else — B/E pairs, journal JSONL, malformed or

@@ -98,10 +98,8 @@ bool load_chrome(std::string_view text, TraceData* out, std::string* error) {
     }
     Node span;
     span.name = name->string_value;
-    span.pid = static_cast<int>(
-        event.get("pid") != nullptr ? event.get("pid")->number_or(1) : 1);
-    span.tid = static_cast<int>(
-        event.get("tid") != nullptr ? event.get("tid")->number_or(0) : 0);
+    span.pid = event.int_at("pid", 1);
+    span.tid = event.int_at("tid", 0);
     span.start_ns = to_ns(ts->number_value);
     span.end_ns = span.start_ns + to_ns(dur->number_value);
     if (const JsonValue* args = event.get("args"); args != nullptr) {

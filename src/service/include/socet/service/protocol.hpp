@@ -4,15 +4,14 @@
 // a 4-byte big-endian payload length followed by that many bytes of
 // UTF-8 text, no trailing newline.  A request payload is either one
 // FORMATS.md §4 job line *verbatim* (the same line `socet batch`
-// reads from a file) or a control verb (`stats`, `health`).  A
+// reads from a file) or a control verb (`metrics`, `clock`, ...).  A
 // response payload starts with a status token:
 //
 //   ok <verb> <payload>      job finished (the record body `socet
-//                            batch` prints after "job <n> ")
+//                            batch` prints after "job <n> "), or a
+//                            control verb's answer
 //   error <message>          job parsed or executed with an error
 //   busy <why>               admission-control reject; nothing ran
-//   ok stats <k=v ...>       control responses
-//   ok health serving|draining
 //
 // Responses are delivered in request order per connection, which is
 // what lets a client replay a job file and print records byte-identical

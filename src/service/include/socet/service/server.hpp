@@ -25,9 +25,10 @@
 //
 // Responses are written in request order per connection (a FIFO of
 // slots per connection; workers may finish out of order).  Control
-// verbs (`stats`, `health`) are answered inline by the event loop and
-// occupy a slot like any request, so their position in the response
-// stream is deterministic too.
+// verbs (`metrics`, `clock`, ...) are answered inline by the event loop
+// and occupy a slot like any request, so their position in the response
+// stream is deterministic too.  `metrics` is the daemon's one status
+// surface: the ServerStats counters below plus the metrics registry.
 //
 // Graceful drain (SIGTERM/SIGINT or request_drain()): stop accepting,
 // finish every admitted job, answer `busy draining` to new work, flush,
@@ -80,7 +81,8 @@ struct ServerOptions {
   /// JSONL access log: one `serve.access` object per request
   /// (FORMATS.md §7) — empty = off.  Any telemetry flag (this or
   /// metrics_http) turns on metrics collection and the rolling-window
-  /// ticker, so the `metrics` protocol verb and `socet top` have data.
+  /// ticker, so `metrics` and `socet top` also carry request-latency
+  /// window quantiles and per-worker busy time.
   std::string access_log;
   /// Rotate the access log once it reaches this many bytes: the
   /// current file moves to `<path>.1` (replacing any previous rollover)
@@ -99,8 +101,8 @@ struct ServerOptions {
   std::function<void(const std::string& line)> before_execute;
 };
 
-/// A monotonic snapshot of the daemon's counters; the `stats` protocol
-/// verb renders exactly this.
+/// A monotonic snapshot of the daemon's counters; `metrics` renders them
+/// as `socet_serve_*` families.
 struct ServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_open = 0;
@@ -118,9 +120,6 @@ struct ServerStats {
   CacheStats cache;
   std::size_t cache_entries = 0;
   std::size_t cache_bytes = 0;
-
-  /// The deterministic key=value rendering after "ok stats ".
-  [[nodiscard]] std::string text() const;
 };
 
 class Server {

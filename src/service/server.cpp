@@ -93,37 +93,6 @@ std::vector<std::string> split_tokens(const std::string& line) {
 
 }  // namespace
 
-std::string ServerStats::text() const {
-  std::string text;
-  const auto field = [&text](const char* key, std::uint64_t value) {
-    if (!text.empty()) text += ' ';
-    text += key;
-    text += '=';
-    text += std::to_string(value);
-  };
-  field("workers", workers);
-  field("connections", connections_open);
-  field("accepted", connections_accepted);
-  field("requests", requests);
-  field("responses", responses);
-  field("errors", errors);
-  field("busy", busy_rejects);
-  field("bad_frames", bad_frames);
-  field("queue_depth", queue_depth);
-  field("queue_hwm", queue_depth_hwm);
-  field("tail_dropped", tail_dropped);
-  field("inflight", inflight);
-  field("draining", draining ? 1 : 0);
-  field("cache_hits", cache.hits);
-  field("cache_misses", cache.misses);
-  field("cache_insertions", cache.insertions);
-  field("cache_evictions", cache.evictions);
-  field("cache_evicted_bytes", cache.evicted_bytes);
-  field("cache_entries", cache_entries);
-  field("cache_bytes", cache_bytes);
-  return text;
-}
-
 struct Server::Impl {
   /// One connection's state machine, owned by the event loop; workers
   /// only ever hold a shared_ptr to route their completion back.
@@ -232,7 +201,7 @@ struct Server::Impl {
   std::deque<std::string> journal_ring_lines;
   // Events lost to slow `socet tail` watchers — pending-buffer overflow
   // (tap thread) plus per-connection write-budget drops (event loop).
-  // Atomic because the stats/metrics paths read it cross-thread.
+  // Atomic because stats() and the metrics path read it cross-thread.
   std::atomic<std::uint64_t> tail_dropped{0};
   std::atomic<int> tailers{0};
   bool tap_installed = false;  ///< event-loop/start-thread only
@@ -241,21 +210,6 @@ struct Server::Impl {
   // thread so the event loop never blocks on the sampler.
   std::atomic<bool> profiling{false};
   std::thread profile_thread;
-
-  // Slowest-recent-requests ring for GET /debug/slowreqs.
-  struct SlowReq {
-    std::uint64_t ts_us = 0;
-    std::uint64_t conn = 0;
-    std::string corr;
-    std::string verb;
-    double wall_us = 0;
-    double queue_us = 0;
-    bool ok = false;
-    bool cache_hit = false;
-  };
-  static constexpr std::size_t kSlowRingCap = 256;
-  std::mutex slow_mutex;
-  std::deque<SlowReq> slow_ring;
 
   WorkQueue<Task> queue;
   std::mutex completions_mutex;
@@ -424,56 +378,6 @@ struct Server::Impl {
     obs::journal_set_tap({});
   }
 
-  void record_slow(std::uint64_t conn_id, const Completion& completion) {
-    const auto ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
-                           Clock::now() - start_time)
-                           .count();
-    SlowReq req;
-    req.ts_us = static_cast<std::uint64_t>(ts_us);
-    req.conn = conn_id;
-    req.corr = completion.corr;
-    req.verb = completion.verb;
-    req.wall_us = completion.wall_us;
-    req.queue_us = completion.queue_us;
-    req.ok = completion.ok;
-    req.cache_hit = completion.cache_hit;
-    std::lock_guard<std::mutex> lock(slow_mutex);
-    slow_ring.push_back(std::move(req));
-    while (slow_ring.size() > kSlowRingCap) slow_ring.pop_front();
-  }
-
-  /// GET /debug/slowreqs: the slowest recent requests (top 32 of a
-  /// 256-deep ring), newest window first sorted by wall time.
-  [[nodiscard]] std::string slowreqs_json() {
-    std::vector<SlowReq> reqs;
-    {
-      std::lock_guard<std::mutex> lock(slow_mutex);
-      reqs.assign(slow_ring.begin(), slow_ring.end());
-    }
-    std::sort(reqs.begin(), reqs.end(),
-              [](const SlowReq& a, const SlowReq& b) {
-                return a.wall_us > b.wall_us;
-              });
-    if (reqs.size() > 32) reqs.resize(32);
-    std::string out = "{\"window\":" + std::to_string(reqs.size()) +
-                      ",\"slowest\":[";
-    for (std::size_t i = 0; i < reqs.size(); ++i) {
-      const auto& r = reqs[i];
-      if (i > 0) out += ',';
-      out += "{\"corr\":\"" + obs::json_escape(r.corr) + "\",\"verb\":\"" +
-             obs::json_escape(r.verb) + "\",\"wall_us\":" +
-             std::to_string(static_cast<std::uint64_t>(r.wall_us)) +
-             ",\"queue_us\":" +
-             std::to_string(static_cast<std::uint64_t>(r.queue_us)) +
-             ",\"cache\":\"" + (r.cache_hit ? "hit" : "miss") +
-             "\",\"status\":\"" + (r.ok ? "ok" : "error") + "\",\"conn\":" +
-             std::to_string(r.conn) + ",\"ts_us\":" + std::to_string(r.ts_us) +
-             "}";
-    }
-    out += "]}\n";
-    return out;
-  }
-
   /// One profiling window, on its own thread: arm the SIGPROF sampler,
   /// sleep out the window (drain-aware), answer with folded stacks.
   void profile_main(std::shared_ptr<Conn> conn, std::uint64_t slot_id,
@@ -519,9 +423,7 @@ struct Server::Impl {
   // -------------------------------------------------------------- the loop
 
   [[nodiscard]] bool can_read(const Conn& conn) const {
-    return !conn.fatal && !conn.peer_eof && !conn.dead &&
-           conn.slots.size() < options.client_window &&
-           conn.out.size() - conn.out_off < options.max_buffered_bytes;
+    return !conn.peer_eof && can_read_frames(conn);
   }
 
   void loop_main() {
@@ -591,11 +493,12 @@ struct Server::Impl {
   }
 
   void begin_drain() {
-    draining.store(true, std::memory_order_relaxed);
+    // Stop accepting before anyone can observe `draining`.
     if (listen_fd >= 0) {
       ::close(listen_fd);
       listen_fd = -1;
     }
+    draining.store(true, std::memory_order_relaxed);
     // Workers finish every admitted job (close() drains the tail), then
     // exit; new jobs are answered `busy draining` before reaching the
     // queue.
@@ -622,10 +525,9 @@ struct Server::Impl {
       const auto& conn = completion.conn;
       log_access(conn->id, completion.corr, completion.verb,
                  completion.ok ? "ok" : "error", completion.depth_at_admit,
-                 completion.wall_us,
                  completion.job ? (completion.cache_hit ? "hit" : "miss")
-                                : nullptr);
-      if (completion.job) record_slow(conn->id, completion);
+                                : nullptr,
+                 completion.wall_us, completion.queue_us);
       if (completion.trace_id != 0) {
         // The respond span covers worker-finish → event-loop pickup:
         // the tail latency a client sees past the job itself.
@@ -700,7 +602,6 @@ struct Server::Impl {
       conns.emplace(fd, conn);
       accepted.fetch_add(1, std::memory_order_relaxed);
       open_conns.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/connections");
       SOCET_EVENT("serve/conn", {"conn", conn->id}, {"event", "accept"});
     }
   }
@@ -738,7 +639,6 @@ struct Server::Impl {
     }
     if (conn->reader.overflowed() && !conn->fatal) {
       bad_frames.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/bad_frames");
       SOCET_EVENT("serve/frame", {"conn", conn->id}, {"event", "oversized"},
                   {"announced", conn->reader.announced()});
       add_done_slot(conn,
@@ -767,22 +667,27 @@ struct Server::Impl {
   /// One FORMATS.md §7 access-log line.  Only ever called from the
   /// event-loop thread (inline verbs and rejects in dispatch, job
   /// completions in apply_completions), so the stream needs no lock.
+  /// `cache` is null for everything but jobs; inline verbs and rejects
+  /// take no worker time and no queue wait.
   void log_access(std::uint64_t conn_id, const std::string& corr,
                   const std::string& verb, const char* status,
-                  std::uint64_t depth, double wall_us, const char* cache) {
+                  std::uint64_t depth, const char* cache = nullptr,
+                  double wall_us = 0, double queue_us = 0) {
     if (!access_log.is_open()) return;
     const auto ts_us = std::chrono::duration_cast<std::chrono::microseconds>(
                            Clock::now() - start_time)
                            .count();
+    const auto us = [](double value) {
+      return std::to_string(static_cast<std::uint64_t>(value));
+    };
     std::string entry = "{\"type\":\"serve.access\",\"ts_us\":" +
                         std::to_string(ts_us) + ",\"conn\":" +
                         std::to_string(conn_id) + ",\"corr\":\"" +
                         obs::json_escape(corr) + "\",\"verb\":\"" +
                         obs::json_escape(verb) + "\",\"status\":\"" + status +
                         "\",\"queue_depth\":" + std::to_string(depth) +
-                        ",\"wall_us\":" +
-                        std::to_string(static_cast<std::uint64_t>(wall_us)) +
-                        ",\"cache\":" +
+                        ",\"queue_us\":" + us(queue_us) +
+                        ",\"wall_us\":" + us(wall_us) + ",\"cache\":" +
                         (cache == nullptr ? std::string("null")
                                           : "\"" + std::string(cache) + "\"") +
                         "}\n";
@@ -806,24 +711,11 @@ struct Server::Impl {
                 const std::string& corr, const FrameTrace* trace) {
     const std::string verb = first_token(line);
     const std::uint64_t depth = queue_depth.load(std::memory_order_relaxed);
-    if (verb == "stats") {
-      add_done_slot(conn, "ok stats " + snapshot().text());
-      log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
-      return;
-    }
-    if (verb == "health") {
-      add_done_slot(conn, std::string("ok health ") +
-                              (draining.load(std::memory_order_relaxed)
-                                   ? "draining"
-                                   : "serving"));
-      log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
-      return;
-    }
     if (verb == "metrics") {
       // Prometheus text over the framed protocol — what `socet top`
       // polls so it needs no HTTP listener.
       add_done_slot(conn, "ok metrics\n" + exposition());
-      log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
+      log_access(conn->id, corr, verb, "ok", depth);
       return;
     }
     if (verb == "clock") {
@@ -831,7 +723,7 @@ struct Server::Impl {
       // monotonic now.  Answered pre-drain so trace collection still
       // works against a draining daemon.
       add_done_slot(conn, "ok clock " + std::to_string(obs::now_ns()));
-      log_access(conn->id, corr, verb, "ok", depth, 0, nullptr);
+      log_access(conn->id, corr, verb, "ok", depth);
       return;
     }
     if (verb == "spans") {
@@ -844,10 +736,9 @@ struct Server::Impl {
     }
     if (draining.load(std::memory_order_relaxed)) {
       busy_rejects.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/busy_rejects");
       SOCET_EVENT("serve/busy", {"conn", conn->id}, {"why", "draining"});
       add_done_slot(conn, "busy draining");
-      log_access(conn->id, corr, verb, "busy", depth, 0, nullptr);
+      log_access(conn->id, corr, verb, "busy", depth);
       return;
     }
     if (verb == "tail") {
@@ -860,19 +751,16 @@ struct Server::Impl {
     }
     if (depth >= options.max_queue) {
       busy_rejects.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/busy_rejects");
       SOCET_EVENT("serve/busy", {"conn", conn->id}, {"why", "queue_full"},
                   {"queue", depth}, {"limit", options.max_queue});
       add_done_slot(conn, "busy queue=" + std::to_string(depth) +
                               " limit=" +
                               std::to_string(options.max_queue));
-      log_access(conn->id, corr, verb, "busy", depth, 0, nullptr);
+      log_access(conn->id, corr, verb, "busy", depth);
       return;
     }
     requests.fetch_add(1, std::memory_order_relaxed);
-    SOCET_COUNT("serve/requests");
     queue_depth.fetch_add(1, std::memory_order_relaxed);
-    SOCET_GAUGE_MAX("serve/queue_depth", depth + 1);
     std::uint64_t hwm = queue_hwm.load(std::memory_order_relaxed);
     while (depth + 1 > hwm &&
            !queue_hwm.compare_exchange_weak(hwm, depth + 1,
@@ -910,7 +798,7 @@ struct Server::Impl {
     }
     if (trace_id == 0) {
       add_done_slot(conn, "error bad spans id '" + line + "'");
-      log_access(conn->id, corr, "spans", "error", depth, 0, nullptr);
+      log_access(conn->id, corr, "spans", "error", depth);
       return;
     }
     std::vector<obs::SpanRecord> spans;
@@ -926,7 +814,7 @@ struct Server::Impl {
     }
     add_done_slot(conn, "ok spans " + std::to_string(spans.size()) + "\n" +
                             obs::remote_spans_jsonl(spans));
-    log_access(conn->id, corr, "spans", "ok", depth, 0, nullptr);
+    log_access(conn->id, corr, "spans", "ok", depth);
   }
 
   /// `journal`: the retained decision-journal ring as socet-journal-v1
@@ -937,7 +825,7 @@ struct Server::Impl {
       add_done_slot(conn,
                     "error journal ring disabled "
                     "(start serve with --journal-ring N)");
-      log_access(conn->id, corr, "journal", "error", depth, 0, nullptr);
+      log_access(conn->id, corr, "journal", "error", depth);
       return;
     }
     // Stay well under kMaxFrameBytes: walk the ring newest-first until
@@ -963,7 +851,7 @@ struct Server::Impl {
       body += entry;
     }
     add_done_slot(conn, std::move(body));
-    log_access(conn->id, corr, "journal", "ok", depth, 0, nullptr);
+    log_access(conn->id, corr, "journal", "ok", depth);
   }
 
   /// `tail [corr=ID] [type=PREFIX]`: subscribe this connection to the
@@ -982,7 +870,7 @@ struct Server::Impl {
         filter_type = tokens[i].substr(5);
       } else {
         add_done_slot(conn, "error bad tail filter '" + tokens[i] + "'");
-        log_access(conn->id, corr, "tail", "error", depth, 0, nullptr);
+        log_access(conn->id, corr, "tail", "error", depth);
         return;
       }
     }
@@ -994,7 +882,7 @@ struct Server::Impl {
     conn->tail_type = std::move(filter_type);
     install_tap();
     add_done_slot(conn, "ok tail");
-    log_access(conn->id, corr, "tail", "ok", depth, 0, nullptr);
+    log_access(conn->id, corr, "tail", "ok", depth);
   }
 
   /// `profile [seconds]`: arm the SIGPROF sampler for one window and
@@ -1011,22 +899,21 @@ struct Server::Impl {
           seconds > 30.0) {
         add_done_slot(conn, "error bad profile duration '" + tokens[1] +
                                 "' (want seconds in (0, 30])");
-        log_access(conn->id, corr, "profile", "error", depth, 0, nullptr);
+        log_access(conn->id, corr, "profile", "error", depth);
         return;
       }
     }
     if (!obs::sampler_supported()) {
       add_done_slot(conn, "error profiling unsupported on this platform");
-      log_access(conn->id, corr, "profile", "error", depth, 0, nullptr);
+      log_access(conn->id, corr, "profile", "error", depth);
       return;
     }
     if (obs::Sampler::running() ||
         profiling.exchange(true, std::memory_order_acq_rel)) {
       busy_rejects.fetch_add(1, std::memory_order_relaxed);
-      SOCET_COUNT("serve/busy_rejects");
       SOCET_EVENT("serve/busy", {"conn", conn->id}, {"why", "profiling"});
       add_done_slot(conn, "busy profiling");
-      log_access(conn->id, corr, "profile", "busy", depth, 0, nullptr);
+      log_access(conn->id, corr, "profile", "busy", depth);
       return;
     }
     const std::uint64_t slot_id = conn->next_slot_id++;
@@ -1099,17 +986,24 @@ struct Server::Impl {
     SOCET_EVENT("serve/conn", {"conn", conn->id}, {"event", "close"});
   }
 
-  /// The full Prometheus exposition: everything in the registry plus a
-  /// handful of live server gauges that only exist as atomics here.
-  /// (Registry families named `socet_serve_*` already exist — e.g. the
-  /// `serve/queue_depth` high-water gauge — so the live values use a
-  /// distinct `live_` spelling to keep each family unique.)
+  /// The full Prometheus exposition: the registry (request latency and
+  /// per-worker busy time, collected only under a telemetry flag) plus
+  /// the server's own counters, which render whether or not a flag is
+  /// on.  The instantaneous queue depth and inflight count carry a
+  /// `live_` prefix that sets them apart from the high-water mark.
   [[nodiscard]] std::string exposition() const {
     std::string out = obs::prometheus_text();
     const ServerStats s = snapshot();
-    const auto gauge = [&out](const char* name, std::uint64_t value) {
-      out += std::string("# TYPE ") + name + " gauge\n";
+    const auto family = [&out](const char* type, const char* name,
+                               std::uint64_t value) {
+      out += std::string("# TYPE ") + name + " " + type + "\n";
       out += std::string(name) + " " + std::to_string(value) + "\n";
+    };
+    const auto gauge = [&family](const char* name, std::uint64_t value) {
+      family("gauge", name, value);
+    };
+    const auto counter = [&family](const char* name, std::uint64_t value) {
+      family("counter", name, value);
     };
     gauge("socet_serve_up", 1);
     gauge("socet_serve_worker_count", s.workers);
@@ -1120,12 +1014,20 @@ struct Server::Impl {
     gauge("socet_serve_draining", s.draining ? 1 : 0);
     gauge("socet_serve_cache_entries", s.cache_entries);
     gauge("socet_serve_cache_bytes", s.cache_bytes);
-    // Monotone counter, not a gauge: journal events lost to slow
-    // `socet tail` subscribers (rate() it to spot a chronically
-    // lagging watcher).
-    out += "# TYPE socet_serve_tail_dropped_total counter\n";
-    out += "socet_serve_tail_dropped_total " +
-           std::to_string(s.tail_dropped) + "\n";
+    counter("socet_serve_connections_total", s.connections_accepted);
+    counter("socet_serve_requests_total", s.requests);
+    counter("socet_serve_responses_total", s.responses);
+    counter("socet_serve_errors_total", s.errors);
+    counter("socet_serve_busy_rejects_total", s.busy_rejects);
+    counter("socet_serve_bad_frames_total", s.bad_frames);
+    counter("socet_serve_cache_hits_total", s.cache.hits);
+    counter("socet_serve_cache_misses_total", s.cache.misses);
+    counter("socet_serve_cache_insertions_total", s.cache.insertions);
+    counter("socet_serve_cache_evictions_total", s.cache.evictions);
+    counter("socet_serve_cache_evicted_bytes_total", s.cache.evicted_bytes);
+    // Journal events lost to slow `socet tail` subscribers (rate() it to
+    // spot a chronically lagging watcher).
+    counter("socet_serve_tail_dropped_total", s.tail_dropped);
     // Build identity + start time: the standard Prometheus idiom for
     // "which binary is this and how long has it been up".
     out += "# TYPE socet_build_info gauge\n";
@@ -1234,10 +1136,6 @@ void Server::start() {
           }
           if (path == "/healthz") {
             return {200, "text/plain; charset=utf-8", "ok\n"};
-          }
-          if (path == "/debug/slowreqs") {
-            return {200, "application/json; charset=utf-8",
-                    impl->slowreqs_json()};
           }
           if (path == "/readyz") {
             // Readiness flips during drain so a load balancer stops

@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "socet/hscan/hscan.hpp"
@@ -54,10 +55,12 @@ struct RcgNode {
 
 class Rcg {
  public:
-  /// Extract the RCG of `netlist`.  When `hscan` is given, edges reused by
-  /// its chains are flagged (and preferred by the transparency search).
-  explicit Rcg(const rtl::Netlist& netlist,
-               const hscan::HscanConfig* hscan = nullptr);
+  /// Extract the RCG of `netlist`, whose transfer paths
+  /// (rtl::enumerate_transfer_paths) are `paths`.  When `hscan` is given,
+  /// edges reused by its chains are flagged (and preferred by the
+  /// transparency search).
+  Rcg(const rtl::Netlist& netlist, std::span<const rtl::TransferPath> paths,
+      const hscan::HscanConfig* hscan = nullptr);
 
   const rtl::Netlist& netlist() const { return *netlist_; }
   const std::vector<RcgNode>& nodes() const { return nodes_; }

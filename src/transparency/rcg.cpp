@@ -42,7 +42,9 @@ std::vector<std::vector<std::uint32_t>> slice_groups(
 
 }  // namespace
 
-Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
+Rcg::Rcg(const rtl::Netlist& netlist,
+         std::span<const rtl::TransferPath> paths,
+         const hscan::HscanConfig* hscan)
     : netlist_(&netlist) {
   SOCET_SPAN("transparency/rcg");
   // Nodes: input ports, output ports, registers — in a stable order.
@@ -74,7 +76,7 @@ Rcg::Rcg(const rtl::Netlist& netlist, const hscan::HscanConfig* hscan)
         static_cast<std::uint32_t>(edges_.size()));
     edges_.push_back(edge);
   };
-  for (const rtl::TransferPath& path : rtl::enumerate_transfer_paths(netlist)) {
+  for (const rtl::TransferPath& path : paths) {
     const std::uint32_t src = index_of(path.src);
     const std::uint32_t dst = index_of(path.dst);
     const auto& out = nodes_[src].out_edges;

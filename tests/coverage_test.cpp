@@ -141,14 +141,14 @@ TEST(Synthetic, SplitOptionCreatesSplitNodes) {
   bool any_split = false;
   for (std::uint64_t seed = 1; seed <= 12 && !any_split; ++seed) {
     auto netlist = systems::make_synthetic_core("s", seed, with);
-    transparency::Rcg rcg(netlist);
+    transparency::Rcg rcg(netlist, rtl::enumerate_transfer_paths(netlist));
     for (const auto& node : rcg.nodes()) any_split |= node.c_split;
   }
   EXPECT_TRUE(any_split) << "no C-split produced across 12 seeds";
 
   for (std::uint64_t seed = 1; seed <= 4; ++seed) {
     auto netlist = systems::make_synthetic_core("s", seed, without);
-    transparency::Rcg rcg(netlist);
+    transparency::Rcg rcg(netlist, rtl::enumerate_transfer_paths(netlist));
     for (const auto& node : rcg.nodes()) {
       EXPECT_FALSE(node.c_split) << "seed " << seed;
     }

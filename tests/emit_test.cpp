@@ -143,8 +143,9 @@ TEST(Verilog, Deterministic) {
 
 TEST(Dot, RcgShowsSplitsAndHscanEdges) {
   auto cpu = systems::make_cpu_rtl();
-  auto hs = hscan::build_hscan(cpu);
-  transparency::Rcg rcg(cpu, &hs);
+  const auto paths = rtl::enumerate_transfer_paths(cpu);
+  auto hs = hscan::build_hscan(cpu, paths);
+  transparency::Rcg rcg(cpu, paths, &hs);
   const auto dot = emit_dot(rcg);
   EXPECT_NE(dot.find("digraph RCG"), std::string::npos);
   EXPECT_NE(dot.find("(C-split)"), std::string::npos);
@@ -169,9 +170,10 @@ TEST(Dot, CcgClustersCores) {
 TEST(Dot, BalancedBraces) {
   auto system = systems::make_barcode_system();
   soc::Ccg ccg(*system.soc, {0, 0, 0});
+  const rtl::Netlist& cpu = system.cores[0]->netlist();
   for (const auto& dot :
        {emit_dot(*system.soc, ccg),
-        emit_dot(transparency::Rcg(system.cores[0]->netlist()))}) {
+        emit_dot(transparency::Rcg(cpu, rtl::enumerate_transfer_paths(cpu)))}) {
     EXPECT_EQ(std::count(dot.begin(), dot.end(), '{'),
               std::count(dot.begin(), dot.end(), '}'));
   }

@@ -30,7 +30,7 @@ Netlist make_fig1() {
 
 TEST(Hscan, ReusesExistingPathsOnFig1) {
   auto n = make_fig1();
-  auto config = build_hscan(n);
+  auto config = build_hscan(n, rtl::enumerate_transfer_paths(n));
   ASSERT_EQ(config.chains.size(), 1u);
   const auto& chain = config.chains[0];
   EXPECT_EQ(chain.depth(), 2u);
@@ -66,7 +66,7 @@ TEST(Hscan, EveryRegisterOnExactlyOneChain) {
   n.connect(n.reg_q(regs[4]), n.fu_in(add, 1));
   n.connect(n.fu_out(add), n.reg_d(regs[3]));
 
-  auto config = build_hscan(n);
+  auto config = build_hscan(n, rtl::enumerate_transfer_paths(n));
   std::set<unsigned> covered;
   for (const auto& chain : config.chains) {
     for (auto reg : chain.registers) {
@@ -86,7 +86,7 @@ TEST(Hscan, TestMuxCostScalesWithWidth) {
 
   HscanCostModel cost;
   cost.test_mux_per_bit = 1;
-  auto config = build_hscan(n, cost);
+  auto config = build_hscan(n, rtl::enumerate_transfer_paths(n), cost);
   // Head link: test mux into 16-bit register (16 cells); tail link: test
   // mux onto the 1-bit output (1 cell).
   EXPECT_EQ(config.overhead_cells, 17u);
@@ -102,7 +102,7 @@ TEST(Hscan, ChainsBalancedAcrossInputs) {
   for (int i = 0; i < 6; ++i) n.add_register("R" + std::to_string(i), 4);
   (void)a;
   (void)b;
-  auto config = build_hscan(n);
+  auto config = build_hscan(n, rtl::enumerate_transfer_paths(n));
   ASSERT_EQ(config.chains.size(), 2u);
   EXPECT_EQ(config.chains[0].depth(), 3u);
   EXPECT_EQ(config.chains[1].depth(), 3u);
@@ -127,19 +127,19 @@ TEST(Hscan, FscanOverheadPerFlipFlop) {
 
 TEST(Hscan, HscanCheaperThanFscanOnMuxRichDesign) {
   auto n = make_fig1();
-  auto config = build_hscan(n);
+  auto config = build_hscan(n, rtl::enumerate_transfer_paths(n));
   EXPECT_LT(config.overhead_cells, fscan_overhead_cells(n));
 }
 
 TEST(Hscan, RequiresPorts) {
   Netlist n("noports");
   n.add_register("R", 4);
-  EXPECT_THROW(build_hscan(n), util::Error);
+  EXPECT_THROW(build_hscan(n, rtl::enumerate_transfer_paths(n)), util::Error);
 }
 
 TEST(Hscan, ReusedEdgesExposedForRcg) {
   auto n = make_fig1();
-  auto config = build_hscan(n);
+  auto config = build_hscan(n, rtl::enumerate_transfer_paths(n));
   // Three reused hops -> three darkened RCG edges.
   EXPECT_EQ(config.reused_edges.size(), 3u);
 }

@@ -98,7 +98,8 @@ TEST_P(SeededProperty, HscanCoversRegistersExactlyOnce) {
   SyntheticCoreOptions options;
   options.registers = 8;
   auto netlist = make_synthetic_core("hs", GetParam(), options);
-  auto config = hscan::build_hscan(netlist);
+  auto config =
+      hscan::build_hscan(netlist, rtl::enumerate_transfer_paths(netlist));
 
   std::set<unsigned> seen;
   unsigned link_cost_sum = 0;
@@ -122,8 +123,8 @@ TEST_P(SeededProperty, HscanCoversRegistersExactlyOnce) {
 
 TEST_P(SeededProperty, HscanReusedEdgesAreRealPaths) {
   auto netlist = make_synthetic_core("hs2", GetParam(), {});
-  auto config = hscan::build_hscan(netlist);
   const auto paths = rtl::enumerate_transfer_paths(netlist);
+  auto config = hscan::build_hscan(netlist, paths);
   for (const auto& [from, to] : config.reused_edges) {
     bool exists = false;
     for (const auto& path : paths) {
@@ -139,8 +140,9 @@ TEST_P(SeededProperty, VersionMenusAreMonotoneLadders) {
   SyntheticCoreOptions options;
   options.registers = 7;
   auto netlist = make_synthetic_core("vm", GetParam(), options);
-  auto hs = hscan::build_hscan(netlist);
-  transparency::Rcg rcg(netlist, &hs);
+  const auto paths = rtl::enumerate_transfer_paths(netlist);
+  auto hs = hscan::build_hscan(netlist, paths);
+  transparency::Rcg rcg(netlist, paths, &hs);
   auto versions = transparency::standard_versions(rcg);
 
   ASSERT_EQ(versions.size(), 3u);
@@ -160,8 +162,9 @@ TEST_P(SeededProperty, VersionMenusAreMonotoneLadders) {
 
 TEST_P(SeededProperty, EveryPortTransparentInEveryVersion) {
   auto netlist = make_synthetic_core("tp", GetParam(), {});
-  auto hs = hscan::build_hscan(netlist);
-  transparency::Rcg rcg(netlist, &hs);
+  const auto paths = rtl::enumerate_transfer_paths(netlist);
+  auto hs = hscan::build_hscan(netlist, paths);
+  transparency::Rcg rcg(netlist, paths, &hs);
   auto versions = transparency::standard_versions(rcg);
   for (const auto& version : versions) {
     for (rtl::PortId in : netlist.input_ports()) {
@@ -181,9 +184,9 @@ TEST_P(SeededProperty, EveryPortTransparentInEveryVersion) {
 
 TEST_P(SeededProperty, RcgEdgesComeFromTransferPathsOrScanMuxes) {
   auto netlist = make_synthetic_core("rcg", GetParam(), {});
-  auto hs = hscan::build_hscan(netlist);
-  transparency::Rcg rcg(netlist, &hs);
   const auto paths = rtl::enumerate_transfer_paths(netlist);
+  auto hs = hscan::build_hscan(netlist, paths);
+  transparency::Rcg rcg(netlist, paths, &hs);
   for (const auto& edge : rcg.edges()) {
     const auto& src = rcg.node(edge.src).ref;
     const auto& dst = rcg.node(edge.dst).ref;
@@ -305,7 +308,8 @@ TEST_P(SeededProperty, InsertedScanChainsShift) {
   SyntheticCoreOptions options;
   options.registers = 5;
   auto netlist = make_synthetic_core("scan", GetParam(), options);
-  auto config = hscan::build_hscan(netlist);
+  auto config =
+      hscan::build_hscan(netlist, rtl::enumerate_transfer_paths(netlist));
 
   synth::ScanOptions scan;
   for (const auto& chain : config.chains) {

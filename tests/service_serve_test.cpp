@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -297,21 +298,64 @@ service::Client connect_to(const service::Server& server,
   return service::Client(options);
 }
 
-TEST(Serve, HealthAndStatsRoundTrip) {
-  service::ServerOptions options;
+/// The value of the unlabelled sample `name` in a Prometheus
+/// exposition, or -1 when the exposition has no such line.
+double sample_of(const std::string& exposition, const std::string& name) {
+  const std::string key = "\n" + name + " ";
+  const auto at = exposition.find(key);
+  if (at == std::string::npos) return -1;
+  return std::strtod(exposition.c_str() + at + key.size(), nullptr);
+}
+
+TEST(Serve, MetricsVerbReportsTheCountersWithoutTelemetry) {
+  service::ServerOptions options;  // no telemetry flag
   options.threads = 2;
   service::Server server(std::move(options));
   server.start();
   ASSERT_GT(server.port(), 0);
 
   auto client = connect_to(server);
-  EXPECT_EQ(client.query("health"), "ok health serving");
-  const std::string stats = client.query("stats");
-  EXPECT_EQ(stats.rfind("ok stats workers=2 ", 0), 0u) << stats;
-  EXPECT_NE(stats.find(" draining=0 "), std::string::npos) << stats;
-  EXPECT_NE(stats.find(" cache_entries=0 "), std::string::npos) << stats;
+  const std::string idle = client.query("metrics");
+  ASSERT_EQ(idle.rfind("ok metrics\n", 0), 0u) << idle;
+  EXPECT_EQ(sample_of(idle, "socet_serve_worker_count"), 2) << idle;
+  EXPECT_EQ(sample_of(idle, "socet_serve_draining"), 0) << idle;
+  EXPECT_EQ(sample_of(idle, "socet_serve_cache_entries"), 0) << idle;
   // A healthy daemon with no tailers has lost zero journal events.
-  EXPECT_NE(stats.find(" tail_dropped=0"), std::string::npos) << stats;
+  EXPECT_EQ(sample_of(idle, "socet_serve_tail_dropped_total"), 0) << idle;
+
+  // kJobFile: 8 jobs, one of which fails.  Every counter is bumped
+  // before the response is sent, so the figures are exact here.
+  client.run_lines(kJobFile);
+  const std::string busy = client.query("metrics");
+  EXPECT_EQ(sample_of(busy, "socet_serve_requests_total"), 8) << busy;
+  EXPECT_EQ(sample_of(busy, "socet_serve_responses_total"), 8) << busy;
+  EXPECT_EQ(sample_of(busy, "socet_serve_errors_total"), 1) << busy;
+  EXPECT_EQ(sample_of(busy, "socet_serve_busy_rejects_total"), 0) << busy;
+  EXPECT_EQ(sample_of(busy, "socet_serve_connections_total"), 1) << busy;
+  const auto stats = server.stats();
+  EXPECT_EQ(sample_of(busy, "socet_serve_cache_hits_total"),
+            static_cast<double>(stats.cache.hits))
+      << busy;
+  EXPECT_EQ(sample_of(busy, "socet_serve_cache_misses_total"),
+            static_cast<double>(stats.cache.misses))
+      << busy;
+  EXPECT_EQ(sample_of(busy, "socet_serve_cache_insertions_total"),
+            static_cast<double>(stats.cache.insertions))
+      << busy;
+}
+
+TEST(Serve, RetiredStatusVerbsAreOrdinaryJobLines) {
+  service::ServerOptions options;
+  options.threads = 1;
+  service::Server server(std::move(options));
+  server.start();
+  auto client = connect_to(server);
+  EXPECT_EQ(client.query("stats").rfind("error unknown verb 'stats'", 0), 0u);
+  EXPECT_EQ(client.query("health").rfind("error unknown verb 'health'", 0),
+            0u);
+  // A worker answered them: they count as (failed) requests.
+  EXPECT_EQ(server.stats().requests, 2u);
+  EXPECT_EQ(server.stats().errors, 2u);
 }
 
 TEST(Serve, MatchesBatchByteForByteAtEveryWorkerCount) {
@@ -366,7 +410,7 @@ TEST(Serve, OversizedFrameKillsOnlyThatConnection) {
   server.start();
 
   auto good = connect_to(server);
-  EXPECT_EQ(good.query("health"), "ok health serving");
+  EXPECT_EQ(good.query("clock").rfind("ok clock ", 0), 0u);
 
   // A raw connection announcing a 4 GiB frame: the server answers with
   // one error frame and closes; the stream cannot be resynchronized.
@@ -379,7 +423,7 @@ TEST(Serve, OversizedFrameKillsOnlyThatConnection) {
   ::close(bad_fd);
 
   // The well-behaved connection is unaffected.
-  EXPECT_EQ(good.query("health"), "ok health serving");
+  EXPECT_EQ(good.query("clock").rfind("ok clock ", 0), 0u);
   const auto report = good.run_lines({"plan system=barcode"});
   EXPECT_EQ(report.errors, 0u);
   EXPECT_EQ(server.stats().bad_frames, 1u);
@@ -457,6 +501,9 @@ TEST(Serve, SaturatedQueueAnswersBusyWithoutRunningTheJob) {
   // makes the admission outcomes deterministic.
   service::write_frame(fd, "explore system=barcode");
   service::write_frame(fd, "program system=barcode");
+  // Release only once job 3 is rejected; a worker freed earlier would
+  // drain the queue and let job 3 in.
+  while (server.stats().busy_rejects < 1) std::this_thread::sleep_for(1ms);
   gate.release();
 
   const auto r1 = service::read_frame(fd);
@@ -496,8 +543,11 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
   // closed, so a connect attempt fails outright.
   EXPECT_THROW(service::net_connect("127.0.0.1", server.port()),
                util::Error);
-  // New work on the existing connection is rejected, structured.
+  // New work on the existing connection is rejected, structured.  Wait
+  // for the reject before releasing the worker: a connection owed
+  // nothing is closed, and closing over an unread frame resets it.
   service::write_frame(fd, "program system=barcode");
+  while (server.stats().busy_rejects < 1) std::this_thread::sleep_for(1ms);
 
   gate.release();
   const auto r1 = service::read_frame(fd);
@@ -524,7 +574,7 @@ TEST(Serve, DrainClosesIdleConnections) {
   service::Server server(std::move(options));
   server.start();
   const int fd = service::net_connect("127.0.0.1", server.port());
-  service::write_frame(fd, "health");
+  service::write_frame(fd, "clock");
   ASSERT_TRUE(service::read_frame(fd).has_value());
   server.request_drain();
   EXPECT_FALSE(service::read_frame(fd).has_value());  // server-side close
@@ -547,8 +597,13 @@ TEST(Serve, ByteBoundedCacheReportsEvictionsInStats) {
   EXPECT_GE(stats.cache.evictions, 1u);
   EXPECT_GT(stats.cache.evicted_bytes, 0u);
   EXPECT_LE(stats.cache_entries, 2u);
-  const std::string text = client.query("stats");
-  EXPECT_NE(text.find("cache_evicted_bytes="), std::string::npos) << text;
+  const std::string text = client.query("metrics");
+  EXPECT_EQ(sample_of(text, "socet_serve_cache_evictions_total"),
+            static_cast<double>(stats.cache.evictions))
+      << text;
+  EXPECT_EQ(sample_of(text, "socet_serve_cache_evicted_bytes_total"),
+            static_cast<double>(stats.cache.evicted_bytes))
+      << text;
 }
 
 // --------------------------------------------------------------- telemetry
@@ -575,8 +630,8 @@ TEST(Serve, StatsReportTheQueueHighWaterMark) {
 
   EXPECT_EQ(server.stats().queue_depth_hwm, 2u);
   auto client = connect_to(server);
-  const std::string text = client.query("stats");
-  EXPECT_NE(text.find(" queue_hwm=2 "), std::string::npos) << text;
+  const std::string text = client.query("metrics");
+  EXPECT_EQ(sample_of(text, "socet_serve_queue_depth_hwm"), 2) << text;
 }
 
 TEST(Serve, MetricsVerbAndAccessLogCarryTheTelemetry) {
@@ -872,7 +927,7 @@ TEST(Serve, TailRejectsUnknownFilters) {
   EXPECT_EQ(client.query("tail nope=3"),
             "error bad tail filter 'nope=3'");
   // The reject did not subscribe the connection: normal traffic works.
-  EXPECT_EQ(client.query("health"), "ok health serving");
+  EXPECT_EQ(client.query("clock").rfind("ok clock ", 0), 0u);
 }
 
 TEST(Serve, JournalRingServesTheJournalVerb) {
@@ -971,31 +1026,120 @@ TEST(Serve, AccessLogRotatesAtTheByteBound) {
   std::remove(rolled_path.c_str());
 }
 
-TEST(Serve, HttpSlowreqsAndBuildInfoExposeTheIntrospectionPlane) {
-  service::ServerOptions options;
-  options.threads = 2;
+TEST(Serve, EveryMetricsFamilyIsTypedExactlyOnce) {
+  const std::string log_path = testing::TempDir() + "serve_families.jsonl";
+  std::remove(log_path.c_str());
+  service::ServerOptions options;  // every telemetry flag on
+  options.threads = 1;  // so worker 1 surely records busy time
   options.metrics_http = true;
+  options.access_log = log_path;
+  options.journal_ring = 64;
+  service::Server server(std::move(options));
+  server.start();
+  auto client = connect_to(server);
+  client.run_lines(kJobFile);
+  const std::string verb = client.query("metrics");
+  ASSERT_EQ(verb.rfind("ok metrics\n", 0), 0u) << verb;
+  const std::string http =
+      http_get(server.metrics_port(), "GET /metrics HTTP/1.0");
+  for (const std::string& text : {verb, http}) {
+    std::map<std::string, int> families;
+    std::istringstream lines(text);
+    std::string line;
+    while (std::getline(lines, line)) {
+      if (line.rfind("# TYPE ", 0) != 0) continue;
+      std::istringstream fields(line.substr(7));
+      std::string name;
+      fields >> name;
+      ++families[name];
+    }
+    for (const auto& [name, count] : families) {
+      EXPECT_EQ(count, 1) << name;
+    }
+    // The server counters, the registry's latency windows and busy time.
+    for (const char* name :
+         {"socet_serve_requests_total", "socet_serve_responses_total",
+          "socet_serve_errors_total", "socet_serve_busy_rejects_total",
+          "socet_serve_bad_frames_total", "socet_serve_connections_total",
+          "socet_serve_cache_hits_total", "socet_serve_cache_misses_total",
+          "socet_serve_cache_insertions_total",
+          "socet_serve_cache_evictions_total",
+          "socet_serve_cache_evicted_bytes_total",
+          "socet_serve_queue_depth_hwm", "socet_serve_request_us",
+          "socet_window_serve_request_us",
+          "socet_serve_worker1_busy_us_total"}) {
+      EXPECT_EQ(families.count(name), 1u) << name;
+    }
+    // Retired: the registry copy of the queue high-water mark and the
+    // windowed copies of the server counters.
+    for (const char* name :
+         {"socet_serve_queue_depth", "socet_window_serve_requests",
+          "socet_window_serve_busy_rejects", "socet_window_serve_bad_frames",
+          "socet_window_serve_connections"}) {
+      EXPECT_EQ(families.count(name), 0u) << name;
+    }
+  }
+  server.request_drain();
+  server.wait();
+  std::remove(log_path.c_str());
+}
+
+TEST(Serve, AccessLogQueueWaitAndBuildInfoExposeTheIntrospectionPlane) {
+  const std::string log_path = testing::TempDir() + "serve_queue_us.jsonl";
+  std::remove(log_path.c_str());
+  WorkerGate gate;
+  service::ServerOptions options;
+  options.threads = 1;
+  options.metrics_http = true;
+  options.access_log = log_path;
+  options.before_execute = gate.hook();
   service::Server server(std::move(options));
   server.start();
   const unsigned short mport = server.metrics_port();
   ASSERT_GT(mport, 0);
-  {
-    auto client = connect_to(server);
-    client.run_lines(kJobFile);
-  }
+
+  // Job 1 parks the only worker, job 2 waits behind it: both spend at
+  // least 30 ms between admission and pickup, little of it working.
+  const int fd = service::net_connect("127.0.0.1", server.port());
+  service::write_frame(fd, "plan system=barcode");
+  gate.wait_entered(1);
+  service::write_frame(fd, "explore system=barcode");
+  while (server.stats().requests < 2) std::this_thread::sleep_for(1ms);
+  std::this_thread::sleep_for(30ms);
+  gate.release();
+  ASSERT_TRUE(service::read_frame(fd).has_value());
+  ASSERT_TRUE(service::read_frame(fd).has_value());
+  ::close(fd);
 
   const std::string metrics = http_get(mport, "GET /metrics HTTP/1.0");
   EXPECT_NE(metrics.find("socet_build_info{version=\""), std::string::npos)
       << metrics;
   EXPECT_NE(metrics.find("git=\""), std::string::npos);
   EXPECT_NE(metrics.find("socet_start_time_seconds "), std::string::npos);
+  EXPECT_NE(http_get(mport, "GET /debug/slowreqs HTTP/1.0").find("404"),
+            std::string::npos);
+  server.request_drain();
+  server.wait();
 
-  const std::string slow = http_get(mport, "GET /debug/slowreqs HTTP/1.0");
-  EXPECT_NE(slow.find("200 OK\r\n"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("\"window\":"), std::string::npos) << slow;
-  EXPECT_NE(slow.find("\"slowest\":["), std::string::npos);
-  EXPECT_NE(slow.find("\"wall_us\":"), std::string::npos);
-  EXPECT_NE(slow.find("\"corr\":\"job-"), std::string::npos) << slow;
+  std::ifstream log(log_path);
+  ASSERT_TRUE(log.is_open());
+  std::string line;
+  int jobs = 0;
+  while (std::getline(log, line)) {
+    const auto field = [&line](const char* key) {
+      const std::string needle = std::string("\"") + key + "\":";
+      const auto at = line.find(needle);
+      EXPECT_NE(at, std::string::npos) << key << " in " << line;
+      return at == std::string::npos
+                 ? -1.0
+                 : std::strtod(line.c_str() + at + needle.size(), nullptr);
+    };
+    ++jobs;
+    EXPECT_GE(field("queue_us"), 30000.0) << line;
+    EXPECT_GE(field("wall_us"), 0.0) << line;
+  }
+  EXPECT_EQ(jobs, 2);
+  std::remove(log_path.c_str());
 }
 
 // --------------------------------------------------------------------- CLI
@@ -1045,12 +1189,14 @@ TEST(Cli, ClientAndBatchConnectMatchLocalBatch) {
   EXPECT_EQ(remote_batch.exit_code, 1);
   EXPECT_EQ(remote_batch.output, local.output);
 
-  const CliRun health = run_cli("client --connect " + connect + " health");
-  EXPECT_EQ(health.exit_code, 0);
-  EXPECT_EQ(health.output, "ok health serving\n");
-  const CliRun stats = run_cli("client --connect " + connect + " stats");
-  EXPECT_EQ(stats.exit_code, 0);
-  EXPECT_EQ(stats.output.rfind("ok stats workers=2 ", 0), 0u);
+  // The second replay is served from the warm cache.
+  const CliRun metrics = run_cli("client --connect " + connect + " metrics");
+  EXPECT_EQ(metrics.exit_code, 0);
+  EXPECT_EQ(metrics.output.rfind("ok metrics\n", 0), 0u) << metrics.output;
+  EXPECT_EQ(sample_of(metrics.output, "socet_serve_worker_count"), 2);
+  EXPECT_EQ(sample_of(metrics.output, "socet_serve_draining"), 0);
+  EXPECT_GE(sample_of(metrics.output, "socet_serve_cache_hits_total"), 7)
+      << metrics.output;
   std::remove(path.c_str());
 }
 
@@ -1058,6 +1204,7 @@ TEST(Cli, ClientRejectsBadArguments) {
   EXPECT_EQ(run_cli("client --jobs nowhere.txt").exit_code, 1);
   EXPECT_EQ(run_cli("client --connect 127.0.0.1 --jobs x").exit_code, 1);
   EXPECT_EQ(run_cli("client --connect 127.0.0.1:1 bogus").exit_code, 1);
+  EXPECT_EQ(run_cli("client --connect 127.0.0.1:1 stats").exit_code, 1);
   // Nothing is listening on a fresh ephemeral port's neighbour; a
   // connect failure is an error, not a hang.
   EXPECT_EQ(run_cli("serve --threads 0").exit_code, 1);
@@ -1083,6 +1230,8 @@ TEST(Cli, TopAndMetricsVerbRenderLiveTelemetry) {
   EXPECT_NE(top.output.find("socet top"), std::string::npos) << top.output;
   EXPECT_NE(top.output.find("p95_us"), std::string::npos) << top.output;
   EXPECT_NE(top.output.find("1m"), std::string::npos) << top.output;
+  EXPECT_NE(top.output.find("worker busy%: w1="), std::string::npos)
+      << top.output;
 
   const CliRun metrics = run_cli("client --connect " + connect + " metrics");
   EXPECT_EQ(metrics.exit_code, 0);
@@ -1172,37 +1321,26 @@ TEST(Cli, TopPrintsAReconnectBannerWhenTheDaemonIsGone) {
       << top.output;
 }
 
-TEST(Cli, TraceMergeCombinesTwoChromeTraces) {
-  const std::string base_path = testing::TempDir() + "merge_base.json";
-  const std::string overlay_path = testing::TempDir() + "merge_overlay.json";
-  const std::string out_path = testing::TempDir() + "merge_out.json";
-  {
-    std::ofstream base(base_path);
-    base << R"({"traceEvents":[{"name":"alpha","ph":"X","ts":1,"dur":2,"pid":1,"tid":1}]})";
-    std::ofstream overlay(overlay_path);
-    overlay << R"({"traceEvents":[{"name":"beta","ph":"X","ts":1,"dur":2,"pid":1,"tid":1}]})";
-  }
-  const CliRun merge =
-      run_cli("trace-merge --base " + base_path + " --overlay " +
-              overlay_path + " --offset-us 100 --out " + out_path);
-  EXPECT_EQ(merge.exit_code, 0) << merge.output;
-  std::ifstream file(out_path);
-  ASSERT_TRUE(file.is_open());
-  std::ostringstream raw;
-  raw << file.rdbuf();
-  const std::string merged = raw.str();
-  EXPECT_NE(merged.find("\"alpha\""), std::string::npos) << merged;
-  EXPECT_NE(merged.find("\"beta\""), std::string::npos);
-  EXPECT_NE(merged.find("\"ts\":101"), std::string::npos) << merged;
+TEST(Cli, TopShowsTheServerCountersWithoutTelemetry) {
+  service::ServerOptions options;  // no telemetry flag
+  options.threads = 1;  // the repeated plan deterministically hits
+  service::Server server(std::move(options));
+  server.start();
+  const std::string connect = "127.0.0.1:" + std::to_string(server.port());
+  auto client = connect_to(server);
+  client.run_lines({"plan system=barcode", "explore system=barcode",
+                    "plan system=barcode"});
 
-  // A document without traceEvents is a structured failure.
-  EXPECT_EQ(run_cli("trace-merge --base " + base_path +
-                    " --overlay /nonexistent.json --out " + out_path)
-                .exit_code,
-            1);
-  std::remove(base_path.c_str());
-  std::remove(overlay_path.c_str());
-  std::remove(out_path.c_str());
+  const CliRun top = run_cli("top --connect " + connect +
+                             " --iterations 1 --interval-ms 10");
+  EXPECT_EQ(top.exit_code, 0) << top.output;
+  EXPECT_NE(top.output.find("workers=1 "), std::string::npos) << top.output;
+  EXPECT_NE(top.output.find("draining=0"), std::string::npos) << top.output;
+  EXPECT_NE(top.output.find("requests=3 "), std::string::npos) << top.output;
+  EXPECT_NE(top.output.find("responses=3 "), std::string::npos)
+      << top.output;
+  EXPECT_NE(top.output.find("cache hits=1 misses=2 "), std::string::npos)
+      << top.output;
 }
 
 }  // namespace

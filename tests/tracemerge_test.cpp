@@ -1,7 +1,7 @@
 // Cross-process trace assembly: the clock-offset estimator against
 // deterministic fake-clock handshakes, the spans wire format, the
 // merged Chrome trace document (parent/child ordering on aligned
-// timelines), and the offline trace-merge tool.
+// timelines).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -233,94 +233,6 @@ TEST(MergedTrace, DaemonSpansStartInsideTheirParentSubmitWindow) {
 TEST(MergedTrace, EmptyInputStillRendersAValidSkeleton) {
   const std::string json = obs::merged_chrome_trace({});
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-}
-
-// ------------------------------------------------------ offline trace-merge
-
-TEST(TraceMergeFiles, RemapsPidsAndShiftsTimestamps) {
-  const std::string base = obs::merged_chrome_trace(fake_trace(0));
-  const std::string overlay =
-      R"({"traceEvents":[{"name":"other","ph":"X","ts":10,"dur":5,"pid":1,"tid":1}]})";
-  std::string merged;
-  std::string error;
-  ASSERT_TRUE(
-      obs::merge_chrome_trace_files(base, overlay, 1000.0, &merged, &error))
-      << error;
-  // The overlay's pid 1 collides with the base's client pid, so it is
-  // remapped past the base's maximum (2), and its ts is shifted.
-  EXPECT_NE(merged.find("\"name\":\"other\""), std::string::npos);
-  EXPECT_NE(merged.find("\"ts\":1010"), std::string::npos) << merged;
-  EXPECT_NE(merged.find("\"pid\":3"), std::string::npos) << merged;
-  EXPECT_EQ(merged.find("\"name\":\"other\",\"ph\":\"X\",\"ts\":10,"),
-            std::string::npos);
-}
-
-TEST(TraceMergeFiles, CollidingOverlaySpanIdsAreRemappedNotMerged) {
-  // Both documents use span id 0x10 for unrelated spans (both sides
-  // seed new_span_id from the clock, so reuse happens in practice).
-  const std::string base =
-      R"({"traceEvents":[)"
-      R"({"name":"base/a","ph":"X","ts":0,"dur":5,"pid":1,"tid":1,)"
-      R"("args":{"span":"0x10"}},)"
-      R"({"name":"base/b","ph":"X","ts":5,"dur":5,"pid":1,"tid":1,)"
-      R"("args":{"span":"0x11","parent":"0x10"}}]})";
-  const std::string overlay =
-      R"({"traceEvents":[)"
-      R"({"name":"over/a","ph":"X","ts":0,"dur":5,"pid":1,"tid":1,)"
-      R"("args":{"span":"0x10"}},)"
-      R"({"name":"over/b","ph":"X","ts":5,"dur":5,"pid":1,"tid":1,)"
-      R"("args":{"span":"0x20","parent":"0x10"}},)"
-      R"({"name":"handoff","ph":"s","id":"0x10","ts":1,"pid":1,"tid":1}]})";
-  std::string merged;
-  std::string error;
-  ASSERT_TRUE(obs::merge_chrome_trace_files(base, overlay, 0.0, &merged,
-                                            &error))
-      << error;
-  // 0x10 collides and is remapped past the global maximum (0x20), so it
-  // becomes 0x21 — consistently in args.span, args.parent, and the flow
-  // event's top-level id.  Non-colliding 0x20 is untouched.
-  EXPECT_EQ(merged.find("\"name\":\"over/a\",\"ph\":\"X\",\"ts\":0,\"dur\":5,"
-                        "\"pid\":2,\"tid\":1,\"args\":{\"span\":\"0x10\"}"),
-            std::string::npos)
-      << merged;
-  EXPECT_NE(merged.find("\"span\":\"0x21\""), std::string::npos) << merged;
-  EXPECT_NE(merged.find("\"parent\":\"0x21\""), std::string::npos) << merged;
-  EXPECT_NE(merged.find("\"id\":\"0x21\""), std::string::npos) << merged;
-  EXPECT_NE(merged.find("\"span\":\"0x20\""), std::string::npos) << merged;
-  // The base's own 0x10 span survives untouched.
-  EXPECT_NE(merged.find("\"name\":\"base/a\""), std::string::npos);
-  const auto base_a = merged.find("\"name\":\"base/a\"");
-  EXPECT_NE(merged.find("\"span\":\"0x10\"", base_a), std::string::npos);
-}
-
-TEST(TraceMergeFiles, CollisionFreeMergeIsByteStable) {
-  // No id overlap: the remap must be a no-op and the merge
-  // deterministic (merging twice yields identical bytes).
-  const std::string base =
-      R"({"traceEvents":[{"name":"a","ph":"X","ts":0,"dur":5,"pid":1,)"
-      R"("tid":1,"args":{"span":"0x1"}}]})";
-  const std::string overlay =
-      R"({"traceEvents":[{"name":"b","ph":"X","ts":0,"dur":5,"pid":1,)"
-      R"("tid":1,"args":{"span":"0x2"}}]})";
-  std::string first;
-  std::string second;
-  ASSERT_TRUE(
-      obs::merge_chrome_trace_files(base, overlay, 10.0, &first, nullptr));
-  ASSERT_TRUE(
-      obs::merge_chrome_trace_files(base, overlay, 10.0, &second, nullptr));
-  EXPECT_EQ(first, second);
-  EXPECT_NE(first.find("\"span\":\"0x2\""), std::string::npos) << first;
-}
-
-TEST(TraceMergeFiles, RejectsDocumentsWithoutTraceEvents) {
-  std::string merged;
-  std::string error;
-  EXPECT_FALSE(obs::merge_chrome_trace_files("{}", "{\"traceEvents\":[]}",
-                                             0.0, &merged, &error));
-  EXPECT_FALSE(error.empty());
-  EXPECT_FALSE(obs::merge_chrome_trace_files("not json",
-                                             "{\"traceEvents\":[]}", 0.0,
-                                             &merged, &error));
 }
 
 }  // namespace

@@ -89,7 +89,7 @@ struct MiniCpu {
 
 TEST(Rcg, NodesCoverPortsAndRegisters) {
   MiniCpu cpu;
-  Rcg rcg(cpu.n);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n));
   // 1 input + 2 outputs + 6 registers.
   EXPECT_EQ(rcg.nodes().size(), 9u);
   EXPECT_EQ(rcg.input_nodes().size(), 1u);
@@ -98,7 +98,7 @@ TEST(Rcg, NodesCoverPortsAndRegisters) {
 
 TEST(Rcg, DetectsSplitNodes) {
   MiniCpu cpu;
-  Rcg rcg(cpu.n);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n));
   const auto& ir = rcg.node(rcg.index_of(
       rtl::register_node(cpu.n.find_register("IR"))));
   EXPECT_TRUE(ir.o_split) << "IR fans out in disjoint nibbles";
@@ -114,7 +114,7 @@ TEST(Rcg, DetectsSplitNodes) {
 TEST(Rcg, HscanEdgesMarked) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   unsigned hscan_edges = 0;
   unsigned shortcut_edges = 0;
   const auto data_node = rcg.index_of(rtl::port_node(cpu.n, cpu.data));
@@ -161,7 +161,7 @@ std::vector<std::vector<std::uint32_t>> reference_slice_groups(
 TEST(Rcg, SliceGroupsMatchReferencePartition) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   for (const RcgNode& node : rcg.nodes()) {
     EXPECT_EQ(node.out_groups,
               reference_slice_groups(rcg, node.out_edges, node.o_split,
@@ -194,7 +194,7 @@ TEST(Rcg, SliceGroupsMatchReferencePartition) {
 TEST(Search, PropagationBranchesAtOSplit) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   auto result = find_propagation(rcg, rcg.index_of(rtl::port_node(cpu.n, cpu.data)),
                                  EdgeClass::kHscanOnly, {});
   ASSERT_TRUE(result.found);
@@ -220,7 +220,7 @@ TEST(Search, PropagationBranchesAtOSplit) {
 TEST(Search, JustificationReconvergesAtOSplit) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   auto result = find_justification(
       rcg, rcg.index_of(rtl::port_node(cpu.n, cpu.alow)),
       EdgeClass::kHscanOnly, {});
@@ -244,7 +244,7 @@ TEST(Search, JustificationReconvergesAtOSplit) {
 TEST(Search, AllEdgesFindShortcut) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   auto result = find_justification(
       rcg, rcg.index_of(rtl::port_node(cpu.n, cpu.alow)),
       EdgeClass::kAllExisting, {});
@@ -255,7 +255,7 @@ TEST(Search, AllEdgesFindShortcut) {
 TEST(Search, ExcludedEdgesForceAlternative) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   // Exclude the shortcut: all-edges search must fall back to the chain.
   std::set<std::uint32_t> excluded;
   const auto data_node = rcg.index_of(rtl::port_node(cpu.n, cpu.data));
@@ -284,7 +284,7 @@ TEST(Search, FailsWhenNoPathExists) {
   n.connect(n.reg_q(r), n.fu_in(add, 1));
   n.connect(n.fu_out(add), n.reg_d(r));
 
-  Rcg rcg(n);
+  Rcg rcg(n, rtl::enumerate_transfer_paths(n));
   auto prop = find_propagation(rcg, rcg.index_of(rtl::port_node(n, in)),
                                EdgeClass::kAllExisting, {});
   EXPECT_FALSE(prop.found);
@@ -295,7 +295,7 @@ TEST(Search, FailsWhenNoPathExists) {
 TEST(Versions, StandardMenuTradesLatencyForArea) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   auto versions = standard_versions(rcg);
   ASSERT_EQ(versions.size(), 3u);
 
@@ -323,7 +323,7 @@ TEST(Versions, StandardMenuTradesLatencyForArea) {
 TEST(Versions, SerialGroupsSequentializeSharedLogic) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   auto v1 = make_version(rcg, VersionPolicy{"V1", true, true, false});
   // Data->ALow (5) and Data->AHigh (2) share the Data->IR edge, so the
   // serialized total is their sum.
@@ -345,7 +345,7 @@ TEST(Versions, TransMuxFallbackCoversUnreachableOutput) {
   n.connect(n.pin(in), n.fu_in(add, 1));
   n.connect(n.fu_out(add), n.pin(out));
 
-  Rcg rcg(n);
+  Rcg rcg(n, rtl::enumerate_transfer_paths(n));
   auto version = make_version(rcg, VersionPolicy{"V1", true, true, false});
   auto latency = version.latency(in, out);
   ASSERT_TRUE(latency.has_value()) << "fallback mux must create the pair";
@@ -363,7 +363,7 @@ TEST(Versions, ControlBypassIsCheap) {
   n.connect(n.reg_q(r), n.fu_in(cloud, 0));
   n.connect(n.fu_out(cloud), n.pin(out));
 
-  Rcg rcg(n);
+  Rcg rcg(n, rtl::enumerate_transfer_paths(n));
   TransparencyCostModel cost;
   auto version = make_version(rcg, VersionPolicy{"V1", true, true, false}, cost);
   ASSERT_TRUE(version.latency(in, out).has_value());
@@ -376,7 +376,7 @@ TEST(Versions, ControlBypassIsCheap) {
 TEST(Versions, DeterministicConstruction) {
   MiniCpu cpu;
   auto hs = cpu.hscan_config();
-  Rcg rcg(cpu.n, &hs);
+  Rcg rcg(cpu.n, rtl::enumerate_transfer_paths(cpu.n), &hs);
   auto a = standard_versions(rcg);
   auto b = standard_versions(rcg);
   ASSERT_EQ(a.size(), b.size());

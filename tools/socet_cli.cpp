@@ -8,11 +8,10 @@
 //   socet parallel [--system ...] [--selection 1,2,3]  # session schedule
 //   socet batch    --jobs FILE [--threads N] # planning service (one job/line)
 //   socet serve    [--port N] [--threads N]  # persistent planning daemon
-//   socet client   --connect HOST:PORT (--jobs FILE | stats | health | metrics
-//                  | journal | profile)
+//   socet client   --connect HOST:PORT (--jobs FILE | metrics | journal
+//                  | profile)
 //   socet top      --connect HOST:PORT [--interval-ms N]  # live dashboard
 //   socet tail     --connect HOST:PORT [--corr ID] [--type PREFIX]  # live journal
-//   socet trace-merge --base A.json --overlay B.json  # one Chrome timeline
 //   socet trace-analyze TRACE.json [--diff A B]  # critical path / attribution
 //   socet sweep    [--system ...] [--threads N]  # parallel explore
 //   socet program  [--system ...]            # assembled test program
@@ -49,7 +48,6 @@
 #include "socet/obs/sampler.hpp"
 #include "socet/obs/trace.hpp"
 #include "socet/obs/traceanalyze.hpp"
-#include "socet/obs/tracemerge.hpp"
 #include "socet/opt/optimize.hpp"
 #include "socet/service/client.hpp"
 #include "socet/service/protocol.hpp"
@@ -382,15 +380,25 @@ int cmd_serve(const Args& args) {
                  metrics_host.c_str(), server.metrics_port());
   }
   server.wait();  // until SIGTERM/SIGINT drains the daemon
-  std::fprintf(stderr, "socet serve: drained: %s\n",
-               server.stats().text().c_str());
+  const service::ServerStats stats = server.stats();
+  std::fprintf(stderr,
+               "socet serve: drained: accepted=%llu requests=%llu "
+               "responses=%llu errors=%llu busy=%llu bad_frames=%llu "
+               "cache_hits=%llu cache_misses=%llu\n",
+               static_cast<unsigned long long>(stats.connections_accepted),
+               static_cast<unsigned long long>(stats.requests),
+               static_cast<unsigned long long>(stats.responses),
+               static_cast<unsigned long long>(stats.errors),
+               static_cast<unsigned long long>(stats.busy_rejects),
+               static_cast<unsigned long long>(stats.bad_frames),
+               static_cast<unsigned long long>(stats.cache.hits),
+               static_cast<unsigned long long>(stats.cache.misses));
   return 0;
 }
 
 int cmd_client(const Args& args) {
   const std::string verb = args.positional(0);
-  if (verb == "stats" || verb == "health" || verb == "metrics" ||
-      verb == "journal") {
+  if (verb == "metrics" || verb == "journal") {
     service::Client client(client_options(args));
     std::printf("%s\n", client.query(verb).c_str());
     return 0;
@@ -407,7 +415,7 @@ int cmd_client(const Args& args) {
   }
   util::require(verb.empty(),
                 "unknown client verb '" + verb +
-                    "' (use stats|health|metrics|journal|profile or "
+                    "' (use metrics|journal|profile or "
                     "--jobs FILE)");
   return run_remote_jobs(args, "client");
 }
@@ -446,42 +454,10 @@ int cmd_tail(const Args& args) {
   return 0;
 }
 
-/// `socet trace-merge --base A.json --overlay B.json [--offset-us X]`:
-/// concatenate two Chrome trace documents onto one timeline (overlay
-/// pids remapped past the base's, timestamps shifted by the offset).
-int cmd_trace_merge(const Args& args) {
-  const auto read_text = [](const std::string& path, const char* what) {
-    util::require(!path.empty(),
-                  std::string("trace-merge needs --") + what + " FILE");
-    std::ifstream file(path);
-    util::require(file.good(), "cannot open '" + path + "'");
-    return std::string((std::istreambuf_iterator<char>(file)),
-                       std::istreambuf_iterator<char>());
-  };
-  const std::string base = read_text(args.get("base", ""), "base");
-  const std::string overlay = read_text(args.get("overlay", ""), "overlay");
-  const double offset_us =
-      std::strtod(args.get("offset-us", "0").c_str(), nullptr);
-  std::string merged;
-  std::string error;
-  const bool ok =
-      obs::merge_chrome_trace_files(base, overlay, offset_us, &merged, &error);
-  util::require(ok, "trace-merge: " + error);
-  const std::string out_path = args.get("out", "");
-  if (out_path.empty()) {
-    std::printf("%s", merged.c_str());
-    return 0;
-  }
-  std::ofstream out(out_path);
-  out << merged;
-  util::require(out.good(), "cannot write '" + out_path + "'");
-  return 0;
-}
-
 /// `socet trace-analyze FILE... [--json] [--folded] [--top N] [--out F]`
 /// or `socet trace-analyze --diff A.json B.json [--json]`: offline
-/// analytics over the id-linked Chrome traces that `--trace`,
-/// `batch --connect --trace` and `trace-merge` write — critical path,
+/// analytics over the id-linked Chrome traces that `--trace` and
+/// `batch --connect --trace` write — critical path,
 /// per-stage latency distributions, and differential attribution
 /// (docs/OBSERVABILITY.md "Analyzing traces").
 int cmd_trace_analyze(const Args& args) {
@@ -572,23 +548,6 @@ std::map<std::string, double> parse_exposition(const std::string& text) {
   return samples;
 }
 
-/// Parse "ok stats k=v k=v ..." into {k -> v}.
-std::map<std::string, std::uint64_t> parse_stats(const std::string& reply) {
-  std::map<std::string, std::uint64_t> stats;
-  std::size_t pos = 0;
-  while (pos < reply.size()) {
-    std::size_t end = reply.find(' ', pos);
-    if (end == std::string::npos) end = reply.size();
-    const std::string token = reply.substr(pos, end - pos);
-    pos = end + 1;
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) continue;
-    stats[token.substr(0, eq)] =
-        std::strtoull(token.c_str() + eq + 1, nullptr, 10);
-  }
-  return stats;
-}
-
 double window_sample(const std::map<std::string, double>& samples,
                      const char* window, const char* quantile) {
   const std::string key = std::string("socet_window_serve_request_us{window=\"") +
@@ -597,10 +556,11 @@ double window_sample(const std::map<std::string, double>& samples,
   return it == samples.end() ? 0.0 : it->second;
 }
 
-/// `socet top`: poll stats + metrics over the framed protocol and
-/// render a refreshing dashboard.  Requires a daemon started with a
-/// telemetry flag (--metrics-port or --access-log) for the window
-/// quantiles and busy%; throughput and queue figures work regardless.
+/// `socet top`: poll `metrics` over the framed protocol and render a
+/// refreshing dashboard.  Throughput, queue and cache figures come from
+/// the daemon's own `socet_serve_*` counters; the window quantiles and
+/// busy% need a daemon started with a telemetry flag (--metrics-port or
+/// --access-log).
 int cmd_top(const Args& args) {
   const auto interval_ms = parse_option_count(args, "interval-ms", 1000);
   // 0 = until interrupted; tests and CI pass a small bound.
@@ -613,20 +573,17 @@ int cmd_top(const Args& args) {
   std::unique_ptr<service::Client> client;
   unsigned long backoff_ms = 0;
   bool have_prev = false;
-  std::map<std::string, std::uint64_t> prev_stats;
   std::map<std::string, double> prev_samples;
   auto prev_at = std::chrono::steady_clock::now();
   for (unsigned long i = 0; iterations == 0 || i < iterations; ++i) {
     if (i > 0) {
       std::this_thread::sleep_for(std::chrono::milliseconds(interval_ms));
     }
-    std::map<std::string, std::uint64_t> stats;
     std::map<std::string, double> samples;
     try {
       if (!client) {
         client = std::make_unique<service::Client>(client_options(args));
       }
-      stats = parse_stats(client->query("stats"));
       samples = parse_exposition(client->query("metrics"));
       backoff_ms = 0;
     } catch (const std::exception& e) {
@@ -643,49 +600,46 @@ int cmd_top(const Args& args) {
     const auto now = std::chrono::steady_clock::now();
     const double elapsed_s =
         std::chrono::duration<double>(now - prev_at).count();
-    const auto stat = [&stats](const char* key) -> std::uint64_t {
-      const auto it = stats.find(key);
-      return it == stats.end() ? 0 : it->second;
+    const auto value = [](const std::map<std::string, double>& from,
+                          const std::string& name) {
+      const auto it = from.find(name);
+      return it == from.end() ? 0.0 : it->second;
     };
-    const auto rate = [&](const char* key) -> double {
+    const auto serve = [&](const char* name) {
+      return static_cast<unsigned long long>(
+          value(samples, std::string("socet_serve_") + name));
+    };
+    /// Per-second increase of one sample since the previous tick.
+    const auto rate = [&](const std::string& name) -> double {
       if (!have_prev || elapsed_s <= 0) return 0.0;
-      const auto it = prev_stats.find(key);
-      const std::uint64_t prev = it == prev_stats.end() ? 0 : it->second;
-      return static_cast<double>(stat(key) - prev) / elapsed_s;
+      return (value(samples, name) - value(prev_samples, name)) / elapsed_s;
     };
 
     if (tty) std::printf("\033[H\033[2J");
     std::printf("socet top — %s — workers=%llu conns=%llu draining=%llu\n",
-                args.get("connect", "").c_str(),
-                static_cast<unsigned long long>(stat("workers")),
-                static_cast<unsigned long long>(stat("connections")),
-                static_cast<unsigned long long>(stat("draining")));
+                args.get("connect", "").c_str(), serve("worker_count"),
+                serve("connections_open"), serve("draining"));
     std::printf(
         "requests=%llu (%.1f/s)  responses=%llu (%.1f/s)  errors=%llu  "
         "busy=%llu\n",
-        static_cast<unsigned long long>(stat("requests")), rate("requests"),
-        static_cast<unsigned long long>(stat("responses")), rate("responses"),
-        static_cast<unsigned long long>(stat("errors")),
-        static_cast<unsigned long long>(stat("busy")));
+        serve("requests_total"), rate("socet_serve_requests_total"),
+        serve("responses_total"), rate("socet_serve_responses_total"),
+        serve("errors_total"), serve("busy_rejects_total"));
     std::printf("queue depth=%llu hwm=%llu inflight=%llu\n",
-                static_cast<unsigned long long>(stat("queue_depth")),
-                static_cast<unsigned long long>(stat("queue_hwm")),
-                static_cast<unsigned long long>(stat("inflight")));
-    const std::uint64_t hits = stat("cache_hits");
-    const std::uint64_t misses = stat("cache_misses");
+                serve("live_queue_depth"), serve("queue_depth_hwm"),
+                serve("live_inflight"));
+    const unsigned long long hits = serve("cache_hits_total");
+    const unsigned long long misses = serve("cache_misses_total");
     std::printf(
         "cache hits=%llu misses=%llu hit%%=%.1f evictions=%llu "
         "evicted_bytes=%llu entries=%llu bytes=%llu\n",
-        static_cast<unsigned long long>(hits),
-        static_cast<unsigned long long>(misses),
+        hits, misses,
         hits + misses == 0
             ? 0.0
             : 100.0 * static_cast<double>(hits) /
                   static_cast<double>(hits + misses),
-        static_cast<unsigned long long>(stat("cache_evictions")),
-        static_cast<unsigned long long>(stat("cache_evicted_bytes")),
-        static_cast<unsigned long long>(stat("cache_entries")),
-        static_cast<unsigned long long>(stat("cache_bytes")));
+        serve("cache_evictions_total"), serve("cache_evicted_bytes_total"),
+        serve("cache_entries"), serve("cache_bytes"));
 
     util::Table windows({"window", "p50_us", "p95_us", "p99_us", "count"});
     for (const char* window : {"1m", "5m", "15m"}) {
@@ -703,27 +657,18 @@ int cmd_top(const Args& args) {
     }
     std::printf("%s", windows.to_text().c_str());
 
+    // Busy µs per wall second, as a percentage of one worker.
     std::printf("worker busy%%:");
-    const std::uint64_t workers = stat("workers");
-    for (std::uint64_t w = 1; w <= workers; ++w) {
-      const std::string key =
-          "socet_serve_worker" + std::to_string(w) + "_busy_us_total";
-      const auto it = samples.find(key);
-      const double busy_us = it == samples.end() ? 0.0 : it->second;
-      const auto prev_it = prev_samples.find(key);
-      const double prev_us =
-          prev_it == prev_samples.end() ? 0.0 : prev_it->second;
-      const double pct =
-          (!have_prev || elapsed_s <= 0)
-              ? 0.0
-              : 100.0 * (busy_us - prev_us) / (elapsed_s * 1e6);
-      std::printf(" w%llu=%.1f%%", static_cast<unsigned long long>(w), pct);
+    for (unsigned long long w = 1; w <= serve("worker_count"); ++w) {
+      std::printf(" w%llu=%.1f%%", w,
+                  rate("socet_serve_worker" + std::to_string(w) +
+                       "_busy_us_total") /
+                      1e4);
     }
     std::printf("\n");
     std::fflush(stdout);
 
     have_prev = true;
-    prev_stats = std::move(stats);
     prev_samples = std::move(samples);
     prev_at = now;
   }
@@ -788,10 +733,10 @@ int cmd_dot(const Args& args) {
   }
   const std::string core = args.get("core", "");
   util::require(!core.empty(), "dot needs --core <name> or --ccg");
-  auto rtl = load_core_rtl(core);
-  auto hs = hscan::build_hscan(rtl);
-  transparency::Rcg rcg(rtl, &hs);
-  std::printf("%s", emit::emit_dot(rcg).c_str());
+  core::Core::prepare(load_core_rtl(core), {},
+                      [](const transparency::Rcg& rcg) {
+                        std::printf("%s", emit::emit_dot(rcg).c_str());
+                      });
   return 0;
 }
 
@@ -878,27 +823,23 @@ int usage() {
       "            [--metrics-interval-ms N]\n"
       "            (persistent planning daemon, docs/SERVICE.md; drain\n"
       "            with SIGTERM; wire protocol in docs/FORMATS.md §6;\n"
-      "            --metrics-port serves GET /metrics /healthz /readyz\n"
-      "            /debug/slowreqs, --access-log writes one serve.access\n"
-      "            JSONL line per request (docs/FORMATS.md §7, rotated to\n"
-      "            .1 past --access-log-max-bytes), --journal-ring keeps\n"
+      "            --metrics-port serves GET /metrics /healthz /readyz,\n"
+      "            --access-log writes one serve.access JSONL line per\n"
+      "            request (docs/FORMATS.md §7, rotated to .1 past\n"
+      "            --access-log-max-bytes), --journal-ring keeps\n"
       "            the newest N decision events for `journal`/explain)\n"
-      "  client    --connect HOST:PORT (--jobs FILE|- | stats | health |\n"
-      "            metrics | journal | profile [--seconds S]) [--window N]\n"
+      "  client    --connect HOST:PORT (--jobs FILE|- | metrics | journal |\n"
+      "            profile [--seconds S]) [--window N]\n"
       "  top       --connect HOST:PORT [--interval-ms N] [--iterations N]\n"
-      "            (live dashboard over stats+metrics; daemon needs a\n"
+      "            (live dashboard over `metrics`; daemon needs a\n"
       "            telemetry flag for window quantiles and busy%%;\n"
       "            reconnects with backoff if the daemon restarts)\n"
       "  tail      --connect HOST:PORT [--corr ID] [--type PREFIX]\n"
       "            [--count N] (stream the daemon's decision journal\n"
       "            live, one JSONL event per line)\n"
-      "  trace-merge --base FILE --overlay FILE [--offset-us X]\n"
-      "            [--out FILE] (concatenate two Chrome traces onto one\n"
-      "            timeline; overlay pids and colliding span ids are\n"
-      "            remapped)\n"
       "  trace-analyze FILE... [--json] [--folded] [--top N] [--out FILE]\n"
       "            (critical path + per-stage latency distributions over\n"
-      "            --trace / --connect --trace / trace-merge documents)\n"
+      "            --trace / --connect --trace documents)\n"
       "  trace-analyze --diff A.json B.json [--json] [--out FILE]\n"
       "            (rank stages by contribution to the B-A delta)\n"
       "  sweep     [--system ...] [--threads N] (parallel explore)\n"
@@ -935,7 +876,6 @@ const std::map<std::string, Command>& commands() {
       {"batch", cmd_batch},       {"sweep", cmd_sweep},
       {"serve", cmd_serve},       {"client", cmd_client},
       {"top", cmd_top},           {"tail", cmd_tail},
-      {"trace-merge", cmd_trace_merge},
       {"trace-analyze", cmd_trace_analyze},
       {"program", cmd_program},
       {"parallel", cmd_parallel}, {"verilog", cmd_verilog},
