@@ -55,8 +55,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
   result.statuses.assign(result.faults.size(), FaultStatus::kUndetected);
 
   util::Rng rng(options.seed);
-  std::optional<ParallelScanFaultSim> sim;
-  sim.emplace(netlist, sim_options(options.sim_threads));
+  ParallelScanFaultSim sim(netlist, sim_options(options.sim_threads));
 
   // Phase 1: random patterns, kept only if they detect something new.
   {
@@ -68,7 +67,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
         batch.push_back(random_pattern(netlist, rng));
       }
       auto before = faultsim::summarize(result.statuses).detected;
-      sim->run(result.faults, batch, result.statuses);
+      sim.run(result.faults, batch, result.statuses);
       auto after = faultsim::summarize(result.statuses).detected;
       if (after > before) {
         SOCET_COUNT_N("atpg/random_patterns_kept", batch.size());
@@ -106,7 +105,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
           for (std::size_t b = 0; b < pr.ppi_dont_care.size(); ++b) {
             if (pr.ppi_dont_care[b]) pr.pattern.ppi.set(b, rng.next_bool());
           }
-          sim->run(result.faults, {pr.pattern}, result.statuses);
+          sim.run(result.faults, {pr.pattern}, result.statuses);
           SOCET_ASSERT(result.statuses[fi] == FaultStatus::kDetected,
                        "PODEM pattern failed to detect its target fault");
           result.patterns.push_back(std::move(pr.pattern));
@@ -123,11 +122,6 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
     podem_pass(FaultStatus::kUndetected,
                std::min(options.backtrack_limit, kPass1Backtracks));
   }
-
-  // The simulator now holds a fanout cone for nearly every fault, and
-  // only a few faults are simulated from here on.  A fresh one rebuilds
-  // just their cones and frees the rest for the proofs.
-  sim.emplace(netlist, sim_options(options.sim_threads));
 
   // Most faults pass 1 gives up on are redundant, which PODEM can prove
   // only by exhausting its decision tree.  A conflict-limited SAT miter
@@ -153,7 +147,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
       util::Rng screen_rng(options.seed ^ kScreenSeed);
       std::vector<ScanPattern> probes(kScreenPatterns);
       for (ScanPattern& p : probes) p = random_pattern(netlist, screen_rng);
-      sim->run(result.faults, probes, screen);
+      sim.run(result.faults, probes, screen);
     }
     std::optional<MiterScratch> scratch;
     for (std::size_t fi = 0; fi < result.faults.size(); ++fi) {
@@ -188,7 +182,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
     }
   }
   if (!aborted.empty()) {
-    sim->run(result.faults, result.patterns, result.statuses);
+    sim.run(result.faults, result.patterns, result.statuses);
     for (std::size_t fi : aborted) {
       if (result.statuses[fi] == FaultStatus::kUndetected) {
         result.statuses[fi] = FaultStatus::kAborted;
@@ -206,6 +200,7 @@ AtpgResult generate_tests(const gate::GateNetlist& netlist,
 faultsim::CoverageSummary grade_patterns(
     const gate::GateNetlist& netlist,
     const std::vector<ScanPattern>& patterns, unsigned sim_threads) {
+  SOCET_SPAN("atpg/grade");
   auto faults = faultsim::enumerate_faults(netlist);
   std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
   ParallelScanFaultSim sim(netlist, sim_options(sim_threads));
@@ -216,20 +211,28 @@ faultsim::CoverageSummary grade_patterns(
 std::vector<ScanPattern> compact_patterns(
     const gate::GateNetlist& netlist,
     const std::vector<ScanPattern>& patterns) {
+  SOCET_SPAN("atpg/compact");
+  // Reverse-order compaction with fault dropping keeps a pattern exactly
+  // when it is some fault's first detection in reverse order.  So one
+  // run over the reversed list, recording each fault's first detecting
+  // pattern, finds every kept pattern at once.
   auto faults = faultsim::enumerate_faults(netlist);
   std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+  const std::vector<ScanPattern> reversed(patterns.rbegin(), patterns.rend());
+  std::vector<std::size_t> first_detect;
   ScanFaultSim sim(netlist);
-  std::vector<ScanPattern> kept;
-  kept.reserve(patterns.size());
-  for (auto it = patterns.rbegin(); it != patterns.rend(); ++it) {
-    const auto before = faultsim::summarize(statuses).detected;
-    sim.run(faults, {*it}, statuses);
-    if (faultsim::summarize(statuses).detected > before) {
-      kept.push_back(*it);
+  sim.run(faults, reversed, statuses, &first_detect);
+
+  std::vector<bool> keep(patterns.size(), false);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    if (statuses[fi] == FaultStatus::kDetected) {
+      keep[patterns.size() - 1 - first_detect[fi]] = true;
     }
   }
-  // Keep the (reverse-simulation) detection order stable for determinism.
-  std::reverse(kept.begin(), kept.end());
+  std::vector<ScanPattern> kept;
+  for (std::size_t i = 0; i < patterns.size(); ++i) {
+    if (keep[i]) kept.push_back(patterns[i]);
+  }
   return kept;
 }
 

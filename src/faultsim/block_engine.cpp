@@ -4,7 +4,7 @@
 namespace socet::faultsim {
 
 std::unique_ptr<BlockEngineBase> make_scalar_engine(
-    unsigned lane_words, ConeCache& cones, const EngineOptions& options) {
+    unsigned lane_words, const ConeCache& cones, const EngineOptions& options) {
   return detail::make_engine<detail::ScalarTag>(lane_words, cones, options);
 }
 
@@ -20,7 +20,7 @@ bool cpu_has_avx2() {
 // This build has no -mavx2 translation unit (non-x86 target or the
 // compiler rejected the flag); callers fall back to the scalar family.
 std::unique_ptr<BlockEngineBase> make_avx2_engine(unsigned /*lane_words*/,
-                                                  ConeCache& /*cones*/,
+                                                  const ConeCache& /*cones*/,
                                                   const EngineOptions&) {
   return nullptr;
 }

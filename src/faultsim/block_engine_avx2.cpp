@@ -8,7 +8,7 @@
 namespace socet::faultsim {
 
 std::unique_ptr<BlockEngineBase> make_avx2_engine(
-    unsigned lane_words, ConeCache& cones, const EngineOptions& options) {
+    unsigned lane_words, const ConeCache& cones, const EngineOptions& options) {
   if (!cpu_has_avx2()) return nullptr;
   if (lane_words < 4) return nullptr;  // one word has nothing to vectorize
   return detail::make_engine<detail::Avx2Tag>(lane_words, cones, options);

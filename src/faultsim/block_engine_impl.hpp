@@ -33,7 +33,7 @@ class BlockEngine final : public BlockEngineBase {
  public:
   using L = Lane<W>;
 
-  BlockEngine(ConeCache& cones, const EngineOptions& options)
+  BlockEngine(const ConeCache& cones, const EngineOptions& options)
       : netlist_(cones.netlist()),
         cones_(cones),
         options_(options),
@@ -42,26 +42,18 @@ class BlockEngine final : public BlockEngineBase {
         scratch_(netlist_.gate_count(), L::zero()),
         stamp_(netlist_.gate_count(), 0),
         touched_(netlist_.gate_count(), 0),
-        is_observe_(netlist_.gate_count(), 0) {
-    // Observation points: POs plus every DFF's D fanin (PPOs), built once
-    // here instead of on every run() call.
-    observe_ = netlist_.outputs();
-    for (gate::GateId dff : netlist_.dffs()) {
-      observe_.push_back(netlist_.gate(dff).fanin[0]);
-    }
-    std::sort(observe_.begin(), observe_.end());
-    observe_.erase(std::unique(observe_.begin(), observe_.end()),
-                   observe_.end());
-    for (gate::GateId obs : observe_) is_observe_[obs.index()] = 1;
-  }
+        region_diff_(netlist_.gate_count(), L::zero()),
+        region_block_(netlist_.gate_count(), 0) {}
 
   [[nodiscard]] unsigned lane_words() const override { return W; }
   [[nodiscard]] const char* kernel_name() const override { return Tag::kName; }
 
   void run(const std::vector<Fault>& faults, std::size_t first,
            std::size_t last, const std::vector<ScanPattern>& patterns,
-           std::vector<FaultStatus>& statuses, EngineStats* stats) override {
+           std::vector<FaultStatus>& statuses, EngineStats* stats,
+           std::vector<std::size_t>* first_detect) override {
     EngineStats local;
+    const auto& fanouts = netlist_.fanouts();
     for (std::size_t block = 0; block < patterns.size();
          block += L::kPatterns) {
       const unsigned count = static_cast<unsigned>(std::min<std::size_t>(
@@ -76,67 +68,44 @@ class BlockEngine final : public BlockEngineBase {
         ++current_stamp_;
 
         const L site = faulty_word(f.gate, f);
-        if (!((site ^ good_[f.gate.index()]).any(mask))) continue;  // inactive
+        L diff = (site ^ good_[f.gate.index()]) & mask;
+        if (!diff.any()) continue;  // inactive
         scratch_[f.gate.index()] = site;
         stamp_[f.gate.index()] = current_stamp_;
 
-        const auto& cone = cones_.of(f.gate);
-        ++local.cone_replays;
         if (options_.replay_suppression) {
-          // Only gates downstream of an actual divergence can diverge:
-          // a gate none of whose fanins carry the current stamp reads
-          // good values only, so its faulty value IS its good value —
-          // skip the evaluation and leave it unmarked.  Likewise a gate
-          // that settles back to its good value (masked) stays
-          // unmarked, killing the wave early.
-          //
-          // Detection folds into the same walk: a fault is detected
-          // exactly when some observation point diverges, divergent
-          // gates are all evaluated here (suppression only skips gates
-          // pinned to their good value), and observation points outside
-          // the cone cannot move — so the first divergent observable
-          // gate ends the replay, and no separate observe scan runs.
-          bool detected = is_observe_[f.gate.index()] != 0;
-          if (!detected) {
-            for (std::size_t c = 1; c < cone.size(); ++c) {
-              const gate::GateId id = cone[c];
-              const gate::Gate& g = netlist_.gate(id);
-              bool touched = false;
-              for (gate::GateId fin : g.fanin) {
-                if (stamp_[fin.index()] == current_stamp_) {
-                  touched = true;
-                  break;
-                }
-              }
-              if (!touched) continue;
-              const L v = cone_word(g);
-              if (!((v ^ good_[id.index()]).any(mask))) continue;
-              if (is_observe_[id.index()]) {
-                detected = true;
-                break;
-              }
-              scratch_[id.index()] = v;
-              stamp_[id.index()] = current_stamp_;
-            }
+          // Inside a fanout-free region the effect has one path: walk it
+          // gate by gate to the root (only the previous chain gate is
+          // stamped, so each step reads good values elsewhere), and stop
+          // where the difference dies.  The lanes still differing at the
+          // root are detected exactly where the root's own flip is.
+          ++local.region_walks;
+          const gate::GateId root = cones_.region_root(f.gate);
+          for (gate::GateId at = f.gate; at != root && diff.any();) {
+            at = fanouts[at.index()][0];
+            const L v = cone_word(netlist_.gate(at));
+            diff = (v ^ good_[at.index()]) & mask;
+            scratch_[at.index()] = v;
+            stamp_[at.index()] = current_stamp_;
           }
-          if (detected) {
-            statuses[fi] = FaultStatus::kDetected;
-            ++local.faults_dropped;
-          }
+          if (diff.any()) diff &= root_difference(root, mask, local);
         } else {
           // Seed-shaped replay: evaluate the whole cone, then scan every
           // observation point (the A/B baseline in bench_scaling).
-          for (std::size_t c = 1; c < cone.size(); ++c) {
-            const gate::GateId id = cone[c];
-            scratch_[id.index()] = cone_word(netlist_.gate(id));
-            stamp_[id.index()] = current_stamp_;
+          ++local.cone_replays;
+          replay_whole_cone(f.gate);
+          L seen = L::zero();
+          for (gate::GateId obs : cones_.observe_points()) {
+            seen |= lookup(obs) ^ good_[obs.index()];
+            if (seen.any(mask) && first_detect == nullptr) break;
           }
-          for (gate::GateId obs : observe_) {
-            if ((lookup(obs) ^ good_[obs.index()]).any(mask)) {
-              statuses[fi] = FaultStatus::kDetected;
-              ++local.faults_dropped;
-              break;
-            }
+          diff = seen & mask;
+        }
+        if (diff.any()) {
+          statuses[fi] = FaultStatus::kDetected;
+          ++local.faults_dropped;
+          if (first_detect != nullptr) {
+            (*first_detect)[fi] = block + diff.lowest_bit();
           }
         }
       }
@@ -167,11 +136,7 @@ class BlockEngine final : public BlockEngineBase {
     ++current_stamp_;
     scratch_[fault.gate.index()] = faulty_word(fault.gate, fault);
     stamp_[fault.gate.index()] = current_stamp_;
-    const auto& cone = cones_.of(fault.gate);
-    for (std::size_t c = 1; c < cone.size(); ++c) {
-      scratch_[cone[c].index()] = cone_word(netlist_.gate(cone[c]));
-      stamp_[cone[c].index()] = current_stamp_;
-    }
+    replay_whole_cone(fault.gate);
 
     const auto& outputs = netlist_.outputs();
     const auto& dffs = netlist_.dffs();
@@ -199,6 +164,58 @@ class BlockEngine final : public BlockEngineBase {
       }
     }
     return mask;
+  }
+
+  /// Lanes in which flipping `root` reaches an observation point, for
+  /// the current block.  Computed on first use per block by replaying the
+  /// root complemented through its fanout cone: only gates downstream of
+  /// a divergence are evaluated, a gate that settles back to its good
+  /// value stops the wave, and every diverging observation point adds
+  /// its lanes until all live lanes are seen.
+  const L& root_difference(gate::GateId root, const L& mask,
+                           EngineStats& stats) {
+    const std::size_t r = root.index();
+    L& seen = region_diff_[r];
+    if (region_block_[r] == block_epoch_) return seen;
+    region_block_[r] = block_epoch_;
+    if (cones_.observed(root)) {
+      seen = mask;
+      return seen;
+    }
+    seen = L::zero();
+    ++stats.cone_replays;
+    ++current_stamp_;
+    scratch_[r] = ~good_[r];
+    stamp_[r] = current_stamp_;
+    cones_.for_each_in_cone(root, [&](gate::GateId id) {
+      const gate::Gate& g = netlist_.gate(id);
+      bool touched = false;
+      for (gate::GateId fin : g.fanin) {
+        if (stamp_[fin.index()] == current_stamp_) {
+          touched = true;
+          break;
+        }
+      }
+      if (!touched) return true;
+      const L v = cone_word(g);
+      const L d = (v ^ good_[id.index()]) & mask;
+      if (!d.any()) return true;
+      scratch_[id.index()] = v;
+      stamp_[id.index()] = current_stamp_;
+      if (!cones_.observed(id)) return true;
+      seen |= d;
+      return seen != mask;
+    });
+    return seen;
+  }
+
+  /// Seed-shaped replay: every gate of `site`'s fanout cone evaluated.
+  void replay_whole_cone(gate::GateId site) {
+    cones_.for_each_in_cone(site, [&](gate::GateId id) {
+      scratch_[id.index()] = cone_word(netlist_.gate(id));
+      stamp_[id.index()] = current_stamp_;
+      return true;
+    });
   }
 
   L lookup(gate::GateId id) const {
@@ -311,7 +328,7 @@ class BlockEngine final : public BlockEngineBase {
         return ~(lookup(g.fanin[0]) ^ lookup(g.fanin[1]));
       case gate::GateKind::kInput:
       case gate::GateKind::kDff:
-        break;  // cones exclude sources (see ConeCache::build_locked)
+        break;  // cones exclude sources (see ConeCache)
     }
     util::raise("cone_word: value source inside a fanout cone");
   }
@@ -365,6 +382,7 @@ class BlockEngine final : public BlockEngineBase {
   /// changed net are re-evaluated, and a gate that settles to its old
   /// value stops the wave (value-change suppression).
   void settle(EngineStats* stats) {
+    ++block_epoch_;  // new good values: every cached root difference is stale
     const auto& gates = netlist_.gates();
     const auto& fanouts = netlist_.fanouts();
     if (!good_valid_ || !options_.event_driven) {
@@ -399,15 +417,18 @@ class BlockEngine final : public BlockEngineBase {
   }
 
   const gate::GateNetlist& netlist_;
-  ConeCache& cones_;
+  const ConeCache& cones_;
   EngineOptions options_;
   std::uint64_t current_stamp_;
   std::vector<L> good_;
   std::vector<L> scratch_;
   std::vector<std::uint64_t> stamp_;
   std::vector<unsigned char> touched_;
-  std::vector<unsigned char> is_observe_;
-  std::vector<gate::GateId> observe_;
+  /// root_difference() per region root, valid while region_block_[root]
+  /// equals block_epoch_ (bumped whenever good_ is re-settled).
+  std::vector<L> region_diff_;
+  std::vector<std::uint64_t> region_block_;
+  std::uint64_t block_epoch_ = 0;
   /// good_ holds the settled values of the previous block (event-driven
   /// incremental evaluation is valid once true).
   bool good_valid_ = false;
@@ -417,7 +438,7 @@ class BlockEngine final : public BlockEngineBase {
 
 template <typename Tag>
 std::unique_ptr<BlockEngineBase> make_engine(unsigned lane_words,
-                                             ConeCache& cones,
+                                             const ConeCache& cones,
                                              const EngineOptions& options) {
   switch (lane_words) {
     case 1:

@@ -1,7 +1,6 @@
 #include "socet/faultsim/cone.hpp"
 
 #include <algorithm>
-#include <bit>
 
 namespace socet::faultsim {
 
@@ -10,74 +9,82 @@ using gate::GateKind;
 
 ConeCache::ConeCache(const gate::GateNetlist& netlist)
     : netlist_(netlist),
-      cones_(netlist.gate_count()),
-      built_(new std::atomic<unsigned char>[netlist.gate_count()]),
-      topo_pos_(netlist.gate_count(), 0),
-      seen_stamp_(netlist.gate_count(), 0),
-      order_bits_((netlist.gate_count() + 63) / 64, 0) {
-  for (std::size_t i = 0; i < netlist.gate_count(); ++i) {
-    built_[i].store(0, std::memory_order_relaxed);
-  }
+      is_observe_(netlist.gate_count(), 0),
+      root_(netlist.gate_count()),
+      spans_(netlist.gate_count()) {
   const auto& order = netlist.topo_order();
+  const auto& fanouts = netlist.fanouts();
+  std::vector<std::uint32_t> pos(netlist.gate_count());
   for (std::size_t i = 0; i < order.size(); ++i) {
-    topo_pos_[order[i].index()] = static_cast<std::uint32_t>(i);
+    pos[order[i].index()] = static_cast<std::uint32_t>(i);
   }
-  // Force the lazily built fanout lists now, while construction is still
-  // single-threaded; after this, every netlist_ access is a const read.
-  (void)netlist.fanouts();
-}
+  const auto combinational = [&](GateId g) {
+    return netlist.gate(g).kind != GateKind::kDff;
+  };
 
-const std::vector<GateId>& ConeCache::of(GateId id) {
-  if (built_[id.index()].load(std::memory_order_acquire)) {
-    return cones_[id.index()];
+  observe_ = netlist.outputs();
+  for (GateId dff : netlist.dffs()) {
+    observe_.push_back(netlist.gate(dff).fanin[0]);
   }
-  std::lock_guard<std::mutex> lock(build_mutex_);
-  if (!built_[id.index()].load(std::memory_order_relaxed)) {
-    build_locked(id);
-  }
-  return cones_[id.index()];
-}
+  std::sort(observe_.begin(), observe_.end());
+  observe_.erase(std::unique(observe_.begin(), observe_.end()),
+                 observe_.end());
+  for (GateId obs : observe_) is_observe_[obs.index()] = 1;
 
-void ConeCache::build_locked(GateId id) {
-  // Forward BFS through fanouts; DFFs terminate propagation within one
-  // scan pattern (their D value is the observation point).
-  ++bfs_stamp_;
-  std::vector<GateId> cone{id};
-  seen_stamp_[id.index()] = bfs_stamp_;
-  const auto& fanouts = netlist_.fanouts();
-  for (std::size_t head = 0; head < cone.size(); ++head) {
-    if (netlist_.gate(cone[head]).kind == GateKind::kDff && head != 0) {
-      continue;
+  // Reverse topological order visits a gate's fanouts before the gate,
+  // so a chain gate inherits an already final root, and a root finds the
+  // cones of its fanouts' roots already built.
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t i = it->index();
+    const auto& out = fanouts[i];
+    const bool chain =
+        !is_observe_[i] && out.size() == 1 && combinational(out[0]);
+    root_[i] = chain ? root_[out[0].index()] : *it;
+  }
+
+  // Extents: a chain climbs to its root, and a cone lies after its root,
+  // so the highest position a root's cone reaches is the highest one its
+  // fanouts' roots and their cones reach.
+  std::vector<std::uint32_t> last(netlist.gate_count());
+  std::size_t total = 0;
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t r = it->index();
+    if (root_[r] != *it) continue;
+    std::uint32_t hi = pos[r];
+    for (GateId out : fanouts[r]) {
+      if (combinational(out)) hi = std::max(hi, last[root_[out.index()].index()]);
     }
-    for (GateId next : fanouts[cone[head].index()]) {
-      if (seen_stamp_[next.index()] == bfs_stamp_) continue;
-      if (netlist_.gate(next).kind == GateKind::kDff) continue;
-      seen_stamp_[next.index()] = bfs_stamp_;
-      cone.push_back(next);
+    last[r] = hi;
+    Span& span = spans_[r];
+    span.offset = total;
+    span.first_word = pos[r] >> 6;
+    span.words = (hi >> 6) - span.first_word + 1;
+    total += span.words;
+  }
+
+  // Bitmaps: a root's cone marks each fanout's chain up to and including
+  // the chain's root, then ORs in that root's cone.
+  words_.assign(total, 0);
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    const std::size_t r = it->index();
+    if (root_[r] != *it) continue;
+    const Span& span = spans_[r];
+    std::uint64_t* cone = &words_[span.offset];
+    for (GateId out : fanouts[r]) {
+      if (!combinational(out)) continue;
+      GateId at = out;
+      while (true) {
+        const std::uint32_t p = pos[at.index()];
+        cone[(p >> 6) - span.first_word] |= std::uint64_t{1} << (p & 63);
+        if (root_[at.index()] == at) break;
+        at = fanouts[at.index()][0];
+      }
+      const Span& sub = spans_[at.index()];
+      for (std::uint32_t k = 0; k < sub.words; ++k) {
+        cone[sub.first_word - span.first_word + k] |= words_[sub.offset + k];
+      }
     }
   }
-  // Topological order without a sort: mark every hit's topological
-  // position in the bitmap, then walk the set bits in order, clearing
-  // each word as it is read so the bitmap is all-zero for the next build.
-  std::size_t lo = order_bits_.size();
-  std::size_t hi = 0;
-  for (GateId g : cone) {
-    const std::uint32_t pos = topo_pos_[g.index()];
-    order_bits_[pos >> 6] |= std::uint64_t{1} << (pos & 63);
-    lo = std::min<std::size_t>(lo, pos >> 6);
-    hi = std::max<std::size_t>(hi, pos >> 6);
-  }
-  const auto& order = netlist_.topo_order();
-  std::size_t out = 0;
-  for (std::size_t w = lo; w <= hi; ++w) {
-    for (std::uint64_t bits = order_bits_[w]; bits != 0; bits &= bits - 1) {
-      cone[out++] = order[(w << 6) + std::countr_zero(bits)];
-    }
-    order_bits_[w] = 0;
-  }
-  cones_[id.index()] = std::move(cone);
-  built_cones_.fetch_add(1, std::memory_order_relaxed);
-  built_[id.index()].store(1, std::memory_order_release);
 }
 
 }  // namespace socet::faultsim

@@ -9,6 +9,7 @@
 // heap.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 
 // Lane methods are force-inlined: the scalar and AVX2 kernel translation
@@ -58,6 +59,13 @@ struct Lane {
     std::uint64_t acc = 0;
     for (unsigned i = 0; i < W; ++i) acc |= w[i];
     return acc != 0;
+  }
+
+  /// Lowest set pattern slot; the lane must not be zero.
+  [[nodiscard]] SOCET_LANE_INLINE unsigned lowest_bit() const {
+    unsigned i = 0;
+    while (w[i] == 0) ++i;
+    return 64 * i + static_cast<unsigned>(std::countr_zero(w[i]));
   }
 
   /// Pattern slot `k` (bit k of the packed lane), used when single

@@ -5,8 +5,8 @@
 // list splits into contiguous index chunks, one per worker thread, and
 // each worker runs its own BlockEngine (private good/scratch arrays)
 // over the SAME pattern set against its chunk only.  All engines borrow
-// one shared read-only netlist and one shared ConeCache (cone.hpp), so
-// a cone built by any worker serves every other.  Workers write
+// one shared read-only netlist and one shared read-only ConeCache
+// (cone.hpp), built before any worker starts.  Workers write
 // disjoint ranges of the status vector, which makes the merged result
 // byte-identical to a serial run — regardless of thread count, chunk
 // boundaries or lane width.

@@ -4,8 +4,9 @@
 // pattern sets the primary inputs and the flip-flop contents (pseudo
 // primary inputs), and responses are observed at the primary outputs and
 // flip-flop D pins (pseudo primary outputs).  The simulator runs the good
-// machine once per pattern block, then replays each still-undetected
-// fault through the fault's fanout cone only, with fault dropping.
+// machine once per pattern block, then walks each still-undetected fault
+// up its fanout-free region and replays each needed region root's fanout
+// cone once, with fault dropping.
 //
 // ScanFaultSim is a facade over the lane-generic block kernels
 // (block_engine.hpp): pattern blocks are 64, 256 or 512 patterns wide
@@ -52,9 +53,13 @@ class ScanFaultSim {
 
   /// Simulate `patterns` against `faults`; marks newly detected faults in
   /// `statuses` (kUndetected -> kDetected).  Other statuses are untouched.
+  /// When `first_detect` is given it is sized to `faults`, and each newly
+  /// detected fault's entry is set to the index in `patterns` of the
+  /// first pattern that detects it; other entries are untouched.
   void run(const std::vector<Fault>& faults,
            const std::vector<ScanPattern>& patterns,
-           std::vector<FaultStatus>& statuses);
+           std::vector<FaultStatus>& statuses,
+           std::vector<std::size_t>* first_detect = nullptr);
 
   /// Good-machine responses for one pattern: values of POs then PPOs.
   /// Useful for building expected-response data.

@@ -66,15 +66,6 @@ void ParallelScanFaultSim::run(const std::vector<Fault>& faults,
   // while workers hold references into it.
   for (unsigned t = 0; t < workers; ++t) (void)engine_for(t, width);
 
-  // Pre-build the fault sites' fanout cones serially before the fan-out.
-  // Fault cones overlap heavily across chunks, so lazy building from
-  // inside the workers funnels them all through the cache's build mutex
-  // — a serialized build plus handoff churn.  After this loop every
-  // worker lookup takes the lock-free built path.  (Already-built cones
-  // make this an atomic-load-per-fault no-op on reuse.)
-  if (workers > 1) {
-    for (const Fault& f : faults) (void)cones_.of(f.gate);
-  }
   last_lane_words_ = engine_for(0, width).lane_words();
   last_kernel_ = engine_for(0, width).kernel_name();
 
@@ -92,7 +83,7 @@ void ParallelScanFaultSim::run(const std::vector<Fault>& faults,
     const std::size_t first = t * base + std::min<std::size_t>(t, extra);
     const std::size_t last = first + base + (t < extra ? 1 : 0);
     engine_for(t, width).run(faults, first, last, patterns, statuses,
-                             &stats[t]);
+                             &stats[t], nullptr);
   });
 
   EngineStats total;
@@ -100,6 +91,7 @@ void ParallelScanFaultSim::run(const std::vector<Fault>& faults,
   SOCET_COUNT_N("faultsim/pattern_blocks", total.blocks);
   SOCET_COUNT_N("faultsim/good_gate_evals", total.gates_evaluated);
   SOCET_COUNT_N("faultsim/cone_replays", total.cone_replays);
+  SOCET_COUNT_N("faultsim/region_walks", total.region_walks);
   SOCET_COUNT_N("faultsim/faults_dropped", total.faults_dropped);
 }
 

@@ -43,9 +43,11 @@ BlockEngineBase& ScanFaultSim::engine_for(unsigned lane_words) {
 
 void ScanFaultSim::run(const std::vector<Fault>& faults,
                        const std::vector<ScanPattern>& patterns,
-                       std::vector<FaultStatus>& statuses) {
+                       std::vector<FaultStatus>& statuses,
+                       std::vector<std::size_t>* first_detect) {
   util::require(statuses.size() == faults.size(),
                 "ScanFaultSim::run: status vector size mismatch");
+  if (first_detect != nullptr) first_detect->resize(faults.size());
   SOCET_RESOURCE_SCOPE("faultsim/scan_run");
 
   const unsigned width = options_.lane_words != 0
@@ -60,11 +62,13 @@ void ScanFaultSim::run(const std::vector<Fault>& faults,
               {"faults", static_cast<unsigned long long>(faults.size())});
 
   EngineStats stats;
-  engine.run(faults, 0, faults.size(), patterns, statuses, &stats);
+  engine.run(faults, 0, faults.size(), patterns, statuses, &stats,
+             first_detect);
 
   SOCET_COUNT_N("faultsim/pattern_blocks", stats.blocks);
   SOCET_COUNT_N("faultsim/good_gate_evals", stats.gates_evaluated);
   SOCET_COUNT_N("faultsim/cone_replays", stats.cone_replays);
+  SOCET_COUNT_N("faultsim/region_walks", stats.region_walks);
   SOCET_COUNT_N("faultsim/faults_dropped", stats.faults_dropped);
 }
 

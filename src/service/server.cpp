@@ -112,6 +112,10 @@ struct Server::Impl {
     bool peer_eof = false;  ///< no more requests will arrive
     bool fatal = false;     ///< close after the pending flush (bad frame)
     bool dead = false;      ///< closed and removed from the map
+    /// Draining: write side shut, reading to EOF before the close (see
+    /// linger()); no more requests are read or answered.
+    bool lingering = false;
+    Clock::time_point linger_until{};
     // Live journal tailing (`tail` verb): once subscribed, matching
     // journal lines stream to this connection as unsolicited frames.
     bool tailing = false;
@@ -422,6 +426,13 @@ struct Server::Impl {
 
   // -------------------------------------------------------------- the loop
 
+  /// How long a draining connection may take to close its end after the
+  /// daemon shut its write side.  Closing a socket whose input is unread
+  /// makes the kernel send a reset, which can destroy responses the
+  /// client has not read yet; reading to EOF first avoids that, and this
+  /// bound keeps a client that never closes from holding up the drain.
+  static constexpr auto kLingerLimit = std::chrono::seconds(2);
+
   [[nodiscard]] bool can_read(const Conn& conn) const {
     return !conn.peer_eof && can_read_frames(conn);
   }
@@ -447,15 +458,26 @@ struct Server::Impl {
           listen_fd >= 0 && !draining.load(std::memory_order_relaxed);
       if (poll_listen) pfds.push_back({listen_fd, POLLIN, 0});
       const std::size_t conn_base = pfds.size();
+      int timeout_ms = -1;
+      const auto now = Clock::now();
       for (auto& [fd, conn] : conns) {
         short events = 0;
-        if (can_read(*conn)) events |= POLLIN;
-        if (conn->out_off < conn->out.size()) events |= POLLOUT;
+        if (conn->lingering) {
+          events = POLLIN;
+          const auto left = std::chrono::ceil<std::chrono::milliseconds>(
+              conn->linger_until - now);
+          const int ms = static_cast<int>(std::max<long long>(0, left.count()));
+          timeout_ms = timeout_ms < 0 ? ms : std::min(timeout_ms, ms);
+        } else {
+          if (can_read(*conn)) events |= POLLIN;
+          if (conn->out_off < conn->out.size()) events |= POLLOUT;
+        }
         pfds.push_back({fd, events, 0});
         polled.push_back(conn);
       }
 
-      const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()), -1);
+      const int rc = ::poll(pfds.data(), static_cast<nfds_t>(pfds.size()),
+                            timeout_ms);
       if (rc < 0 && errno != EINTR) break;  // unrecoverable poll failure
       if (rc < 0) continue;                 // EINTR: rescan (drain signal)
 
@@ -468,6 +490,13 @@ struct Server::Impl {
         const auto& conn = polled[c];
         if (conn->dead) continue;
         const short revents = pfds[conn_base + c].revents;
+        if (conn->lingering) {
+          if (revents != 0) read_to_eof(conn);
+          if (!conn->dead && Clock::now() >= conn->linger_until) {
+            close_conn(conn);
+          }
+          continue;
+        }
         if ((revents & POLLOUT) != 0) {
           try_write(conn);
           if (!conn->dead) pump(conn);  // freed write budget may unblock reads
@@ -958,12 +987,43 @@ struct Server::Impl {
   }
 
   void maybe_close(const std::shared_ptr<Conn>& conn) {
+    if (conn->lingering) return;
+    const bool drain = draining.load(std::memory_order_relaxed);
+    // Frames the client sent before the drain reached it are answered
+    // (`busy draining`) before the connection can count as idle.
+    if (drain && can_read(*conn)) handle_read(conn);
+    if (conn->dead) return;
     const bool flushed = conn->out_off >= conn->out.size();
     const bool idle = conn->slots.empty() && flushed;
     if (!idle) return;
-    if (conn->fatal || conn->peer_eof ||
-        draining.load(std::memory_order_relaxed)) {
+    if (conn->fatal || conn->peer_eof) {
       close_conn(conn);
+    } else if (drain) {
+      linger(conn);
+    }
+  }
+
+  /// Shut the write side (the client reads every response, then EOF) and
+  /// close once the client closes its end or kLingerLimit passes.
+  void linger(const std::shared_ptr<Conn>& conn) {
+    ::shutdown(conn->fd, SHUT_WR);
+    conn->lingering = true;
+    conn->linger_until = Clock::now() + kLingerLimit;
+    read_to_eof(conn);
+  }
+
+  /// Discard a lingering connection's input; close it at EOF or error.
+  /// A few reads per call, so a client that keeps writing cannot hold
+  /// the loop here past its deadline.
+  void read_to_eof(const std::shared_ptr<Conn>& conn) {
+    char buffer[16384];
+    for (int reads = 0; reads < 8; ++reads) {
+      const ssize_t r = ::read(conn->fd, buffer, sizeof(buffer));
+      if (r > 0) continue;
+      if (r < 0 && errno == EINTR) continue;
+      if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
+      close_conn(conn);  // EOF, or the client is gone
+      return;
     }
   }
 

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "socet/atpg/atpg.hpp"
 #include "socet/faultsim/block_engine.hpp"
 #include "socet/faultsim/cone.hpp"
 #include "socet/faultsim/faults.hpp"
@@ -15,6 +16,8 @@
 #include "socet/faultsim/scan_sim.hpp"
 #include "socet/faultsim/seq_sim.hpp"
 #include "socet/obs/metrics.hpp"
+#include "socet/synth/elaborate.hpp"
+#include "socet/systems/systems.hpp"
 #include "socet/util/error.hpp"
 #include "socet/util/rng.hpp"
 #include "common.hpp"
@@ -141,24 +144,37 @@ std::vector<bool> reference_values(const GateNetlist& n,
   return values;
 }
 
-std::vector<FaultStatus> reference_statuses(
+/// Index of the first pattern that detects each fault, or
+/// patterns.size() for a fault no pattern detects.
+std::vector<std::size_t> reference_first_detect(
     const GateNetlist& n, const std::vector<Fault>& faults,
     const std::vector<ScanPattern>& patterns) {
   std::vector<GateId> observe = n.outputs();
   for (GateId dff : n.dffs()) observe.push_back(n.gate(dff).fanin[0]);
-  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+  std::vector<std::size_t> first(faults.size(), patterns.size());
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    for (const ScanPattern& p : patterns) {
-      const auto good = reference_values(n, p, nullptr);
-      const auto bad = reference_values(n, p, &faults[fi]);
+    for (std::size_t p = 0; p < patterns.size() && first[fi] == patterns.size();
+         ++p) {
+      const auto good = reference_values(n, patterns[p], nullptr);
+      const auto bad = reference_values(n, patterns[p], &faults[fi]);
       for (GateId obs : observe) {
         if (good[obs.index()] != bad[obs.index()]) {
-          statuses[fi] = FaultStatus::kDetected;
+          first[fi] = p;
           break;
         }
       }
-      if (statuses[fi] == FaultStatus::kDetected) break;
     }
+  }
+  return first;
+}
+
+std::vector<FaultStatus> reference_statuses(
+    const GateNetlist& n, const std::vector<Fault>& faults,
+    const std::vector<ScanPattern>& patterns) {
+  std::vector<FaultStatus> statuses;
+  for (std::size_t first : reference_first_detect(n, faults, patterns)) {
+    statuses.push_back(first < patterns.size() ? FaultStatus::kDetected
+                                               : FaultStatus::kUndetected);
   }
   return statuses;
 }
@@ -261,8 +277,8 @@ TEST(KernelOracle, SharedConeCacheServesAllWorkers) {
   EXPECT_EQ(statuses, reference_statuses(n, faults, patterns));
 }
 
-/// Fanout cone by BFS and a sort on topological position: the ordering
-/// ConeCache used before it walked a position bitmap instead.
+/// Fanout cone by BFS and a sort on topological position: how ConeCache
+/// built cones before it composed them from fanout-free regions.
 std::vector<GateId> sorted_bfs_cone(const GateNetlist& n, GateId id) {
   std::vector<std::uint32_t> pos(n.gate_count());
   for (std::size_t i = 0; i < n.topo_order().size(); ++i) {
@@ -292,9 +308,275 @@ TEST(KernelOracle, ConeCacheMatchesSortedBfsElementForElement) {
     ConeCache cache(n);
     for (std::size_t g = 0; g < n.gate_count(); ++g) {
       const GateId id(static_cast<GateId::value_type>(g));
-      EXPECT_EQ(cache.of(id), sorted_bfs_cone(n, id))
+      std::vector<GateId> cone{id};
+      cache.for_each_in_cone(id, [&cone](GateId next) {
+        cone.push_back(next);
+        return true;
+      });
+      EXPECT_EQ(cone, sorted_bfs_cone(n, id))
           << gates << " gates, cone of gate " << g;
     }
+  }
+}
+
+// ------------------------------------------------- fanout-free regions
+
+/// Random logic built to have long single-fanout chains, plus one of each
+/// shape the region walk must get right: an XOR/XNOR chain, gates that
+/// read one net on both pins, observed gates that also fan out, a chain
+/// that ends in a DFF's D pin, and dangling gates.
+GateNetlist make_chain_netlist(Rng& rng, std::size_t n_inputs,
+                               std::size_t n_dffs, std::size_t n_gates) {
+  GateNetlist n("chains");
+  std::vector<GateId> nodes;
+  std::vector<GateId> unread;  // nodes nothing reads yet: chain tails
+  for (std::size_t i = 0; i < n_inputs; ++i) {
+    nodes.push_back(n.add_input("i" + std::to_string(i)));
+  }
+  std::vector<GateId> dffs;
+  for (std::size_t i = 0; i < n_dffs; ++i) {
+    dffs.push_back(n.add_dff_floating("q" + std::to_string(i)));
+    nodes.push_back(dffs.back());
+  }
+  unread = nodes;
+  std::size_t serial = 0;
+  const auto add = [&](GateKind kind, std::vector<GateId> fanin) {
+    for (GateId f : fanin) {
+      unread.erase(std::remove(unread.begin(), unread.end(), f), unread.end());
+    }
+    const GateId g = n.add_gate(kind, std::move(fanin),
+                                "g" + std::to_string(serial++));
+    nodes.push_back(g);
+    unread.push_back(g);
+    return g;
+  };
+  // Mostly extend a chain (read a node nothing reads yet), sometimes
+  // branch off any node.
+  const auto pick = [&]() {
+    if (!unread.empty() && rng.next_below(4) != 0) {
+      return unread[rng.next_below(unread.size())];
+    }
+    return nodes[rng.next_below(nodes.size())];
+  };
+  static const GateKind kKinds[] = {GateKind::kAnd,  GateKind::kOr,
+                                    GateKind::kNand, GateKind::kNor,
+                                    GateKind::kXor,  GateKind::kXnor,
+                                    GateKind::kNot,  GateKind::kBuf};
+  for (std::size_t i = 0; i < n_gates; ++i) {
+    const GateKind kind = kKinds[rng.next_below(8)];
+    const GateId a = pick();
+    if (kind == GateKind::kNot || kind == GateKind::kBuf) {
+      add(kind, {a});
+    } else {
+      add(kind, {a, rng.next_below(8) == 0 ? a : pick()});
+    }
+  }
+  // An XOR/XNOR chain, and a gate reading one chain gate on both pins.
+  GateId x = pick();
+  for (int i = 0; i < 6; ++i) {
+    x = add(i % 2 == 0 ? GateKind::kXor : GateKind::kXnor, {x, pick()});
+  }
+  x = add(GateKind::kAnd, {x, x});
+  // An observed gate that also fans out.
+  const GateId seen = add(GateKind::kOr, {x, pick()});
+  n.mark_output(seen);
+  add(GateKind::kNand, {seen, pick()});
+  // Chains into every DFF's D pin.
+  for (GateId dff : dffs) {
+    GateId d = pick();
+    for (int i = 0; i < 3; ++i) d = add(GateKind::kNot, {d});
+    n.set_dff_input(dff, d);
+  }
+  // Observe a few chain tails, then add a dangling chain nothing reads.
+  for (std::size_t i = 0; i < 3 && !unread.empty(); ++i) {
+    const GateId tail = unread[rng.next_below(unread.size())];
+    if (n.gate(tail).kind != GateKind::kDff) n.mark_output(tail);
+  }
+  add(GateKind::kNor, {add(GateKind::kBuf, {pick()}), pick()});
+  return n;
+}
+
+TEST(RegionOracle, ChainNetlistsHaveEveryShapeUnderTest) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const auto n = make_chain_netlist(rng, 5, 3, 80);
+    const ConeCache cones(n);
+    std::size_t chain = 0, xor_chain = 0, double_read = 0, observed_fanout = 0,
+                into_dff = 0, dangling = 0;
+    for (std::size_t i = 0; i < n.gate_count(); ++i) {
+      const GateId id(static_cast<GateId::value_type>(i));
+      const Gate& g = n.gate(id);
+      const auto& out = n.fanouts()[i];
+      const bool xor_kind =
+          g.kind == GateKind::kXor || g.kind == GateKind::kXnor;
+      if (cones.region_root(id) != id) {
+        ++chain;
+        const GateKind next = n.gate(out[0]).kind;
+        if (xor_kind && (next == GateKind::kXor || next == GateKind::kXnor)) {
+          ++xor_chain;
+        }
+      }
+      if (g.fanin.size() == 2 && g.fanin[0] == g.fanin[1]) ++double_read;
+      if (cones.observed(id) && !out.empty()) ++observed_fanout;
+      if (out.empty() && !cones.observed(id)) ++dangling;
+      if (g.kind == GateKind::kDff &&
+          cones.region_root(n.gate(g.fanin[0]).fanin[0]) == g.fanin[0]) {
+        ++into_dff;
+      }
+    }
+    EXPECT_GT(chain, n.gate_count() / 4) << "seed " << seed;
+    EXPECT_GT(xor_chain, 0u) << "seed " << seed;
+    EXPECT_GT(double_read, 0u) << "seed " << seed;
+    EXPECT_GT(observed_fanout, 0u) << "seed " << seed;
+    EXPECT_GT(into_dff, 0u) << "seed " << seed;
+    EXPECT_GT(dangling, 0u) << "seed " << seed;
+  }
+}
+
+// Walking each fault up its region and replaying the region's root once
+// is exact: statuses and first-detecting patterns equal the one-pattern
+// scalar reference and the seed kernel's whole-cone replay, at every
+// width, with either kernel family, and at any thread count.
+TEST(RegionOracle, StatusesMatchReferenceAndSeedKernel) {
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    const auto n = make_chain_netlist(rng, 5, 3, 80);
+    const auto faults = enumerate_faults(n);
+    // 150 patterns: several one-word blocks and a partial wide block.
+    const auto patterns = make_random_patterns(n, 150, rng);
+    const auto first = reference_first_detect(n, faults, patterns);
+    const auto expected = reference_statuses(n, faults, patterns);
+
+    for (unsigned lane_words : {1u, 4u, 8u}) {
+      for (bool use_avx2 : {false, true}) {
+        for (bool suppression : {false, true}) {
+          ScanSimOptions o;
+          o.lane_words = lane_words;
+          o.use_avx2 = use_avx2;
+          o.replay_suppression = suppression;
+          ScanFaultSim sim(n, o);
+          std::vector<FaultStatus> statuses(faults.size(),
+                                            FaultStatus::kUndetected);
+          std::vector<std::size_t> found;
+          sim.run(faults, patterns, statuses, &found);
+          const std::string what =
+              "seed=" + std::to_string(seed) + " W=" +
+              std::to_string(lane_words) + " kernel=" + sim.last_kernel() +
+              " suppression=" + std::to_string(suppression);
+          EXPECT_EQ(statuses, expected) << what;
+          for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+            if (statuses[fi] == FaultStatus::kDetected) {
+              EXPECT_EQ(found[fi], first[fi]) << what << " fault " << fi;
+            }
+          }
+        }
+      }
+    }
+    for (unsigned threads : {1u, 2u, 8u}) {
+      for (bool suppression : {false, true}) {
+        ParallelSimOptions o;
+        o.threads = threads;
+        o.min_faults_per_thread = 1;
+        o.sim.replay_suppression = suppression;
+        ParallelScanFaultSim sim(n, o);
+        std::vector<FaultStatus> statuses(faults.size(),
+                                          FaultStatus::kUndetected);
+        sim.run(faults, patterns, statuses);
+        EXPECT_EQ(statuses, expected)
+            << "seed=" << seed << " threads=" << threads
+            << " suppression=" << suppression;
+      }
+    }
+  }
+}
+
+/// Reverse-order compaction as one one-pattern run per pattern: the loop
+/// compact_patterns replaced, kept here as its oracle.
+std::vector<ScanPattern> compact_one_pattern_at_a_time(
+    const GateNetlist& n, const std::vector<ScanPattern>& patterns) {
+  const auto faults = enumerate_faults(n);
+  std::vector<FaultStatus> statuses(faults.size(), FaultStatus::kUndetected);
+  ScanSimOptions o;
+  o.replay_suppression = false;
+  ScanFaultSim sim(n, o);
+  std::vector<ScanPattern> kept;
+  for (auto it = patterns.rbegin(); it != patterns.rend(); ++it) {
+    const auto before = summarize(statuses).detected;
+    sim.run(faults, {*it}, statuses);
+    if (summarize(statuses).detected > before) kept.push_back(*it);
+  }
+  std::reverse(kept.begin(), kept.end());
+  return kept;
+}
+
+bool same_patterns(const std::vector<ScanPattern>& a,
+                   const std::vector<ScanPattern>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!(a[i].pi == b[i].pi) || !(a[i].ppi == b[i].ppi)) return false;
+  }
+  return true;
+}
+
+TEST(CompactionOracle, OnePassKeepsTheOnePatternLoopsPatterns) {
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    const auto n = seed % 2 == 0 ? make_chain_netlist(rng, 6, 3, 90)
+                                 : make_random_netlist(rng, 6, 3, 90);
+    // Few patterns keep a one-word block; many span several wide ones.
+    for (std::size_t count : {20u, 300u, 700u}) {
+      const auto patterns = make_random_patterns(n, count, rng);
+      const auto kept = atpg::compact_patterns(n, patterns);
+      EXPECT_TRUE(same_patterns(kept, compact_one_pattern_at_a_time(n, patterns)))
+          << "seed " << seed << ", " << count << " patterns";
+    }
+  }
+}
+
+/// FNV-1a 64 over the pattern bits, PI bits then PPI bits, one byte each.
+std::uint64_t pattern_digest(const std::vector<ScanPattern>& patterns) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto feed = [&h](const BitVector& bits) {
+    for (std::size_t i = 0; i < bits.width(); ++i) {
+      h ^= bits.get(i) ? 1u : 0u;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& p : patterns) {
+    feed(p.pi);
+    feed(p.ppi);
+  }
+  return h;
+}
+
+TEST(CompactionOracle, System1CoresKeepGoldenPatterns) {
+  // Kept sets of the one-pattern-at-a-time loop, recorded before
+  // compaction became one pass.
+  struct Golden {
+    const char* core;
+    std::uint64_t seed;
+    std::uint64_t digest;
+    std::size_t kept;
+  };
+  static constexpr Golden kGoldens[] = {
+      {"CPU", 1, 0x8f4e364fca6681efull, 119},
+      {"CPU", 2, 0xa7dec78b1276cc1eull, 118},
+      {"CPU", 3, 0xe8c0c1e7cd5fdf46ull, 121},
+      {"PREPROCESSOR", 1, 0x4a8ff05ebccf61e4ull, 67},
+      {"PREPROCESSOR", 2, 0xb433c24ce5696d9eull, 66},
+      {"PREPROCESSOR", 3, 0x22def0d4e783f487ull, 70},
+      {"DISPLAY", 1, 0x66a9f02831044a98ull, 59},
+      {"DISPLAY", 2, 0x8db03fbc6d67c52full, 61},
+      {"DISPLAY", 3, 0x8753da84f2e10f1dull, 63},
+  };
+  auto system = systems::make_barcode_system();
+  for (const Golden& golden : kGoldens) {
+    const auto elab = synth::elaborate(system.core_named(golden.core).netlist());
+    const auto tests = atpg::generate_tests(elab.gates, {.seed = golden.seed});
+    const auto kept = atpg::compact_patterns(elab.gates, tests.patterns);
+    EXPECT_EQ(kept.size(), golden.kept) << golden.core << " seed " << golden.seed;
+    EXPECT_EQ(pattern_digest(kept), golden.digest)
+        << golden.core << " seed " << golden.seed;
   }
 }
 

@@ -568,6 +568,42 @@ TEST(Serve, GracefulDrainFinishesAdmittedWorkAndRejectsTheRest) {
   EXPECT_EQ(stats.connections_open, 0u);
 }
 
+TEST(Serve, DrainAnswersFramesStillInTheKernelAndKeepsEarlierResponses) {
+  // A window of one stops the event loop from reading the second frame
+  // while the first is in flight, so the drain finds it still in the
+  // kernel once the first response is written.  Closing over it would
+  // reset the connection and could destroy that response.
+  WorkerGate gate;
+  service::ServerOptions options;
+  options.threads = 1;
+  options.client_window = 1;
+  options.before_execute = gate.hook();
+  service::Server server(std::move(options));
+  server.start();
+
+  const int fd = service::net_connect("127.0.0.1", server.port());
+  service::write_frame(fd, "plan system=barcode");
+  gate.wait_entered(1);
+  server.request_drain();
+  while (!server.stats().draining) std::this_thread::sleep_for(1ms);
+  service::write_frame(fd, "program system=barcode");
+  gate.release();
+
+  const auto r1 = service::read_frame(fd);
+  ASSERT_TRUE(r1.has_value());
+  EXPECT_EQ(r1->rfind("ok plan ", 0), 0u) << *r1;
+  const auto r2 = service::read_frame(fd);
+  ASSERT_TRUE(r2.has_value());
+  EXPECT_EQ(*r2, "busy draining");
+  EXPECT_FALSE(service::read_frame(fd).has_value());  // write side shut
+  ::close(fd);
+  server.wait();
+  const auto stats = server.stats();
+  EXPECT_EQ(stats.responses, 1u);
+  EXPECT_EQ(stats.busy_rejects, 1u);
+  EXPECT_EQ(stats.connections_open, 0u);
+}
+
 TEST(Serve, DrainClosesIdleConnections) {
   service::ServerOptions options;
   options.threads = 1;
